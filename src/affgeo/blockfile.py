@@ -13,7 +13,9 @@ Layout (LF line endings, UTF-8):
 Coordinates are space-separated element digit strings: e base-p digits,
 constant coefficient first (comma-joined digits when p > 10).  Blocks
 are sorted by canonical form, so parse(render(x)) == x and files diff
-cleanly.
+cleanly.  render(parse(text)) == text holds for canonical text only:
+parse also accepts blocks out of order and dir rows not in RREF, which
+render then writes in canonical form.
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ def _parse_vec(K, tokens) -> tuple:
     return tuple(K.parse_digits(tok) for tok in tokens)
 
 
+def _render_modulus(K) -> str:
+    """The e+1 modulus coefficients, in the same digit convention as elements."""
+    return ("" if K.p <= 10 else ",").join(str(c) for c in K.modulus)
+
+
 def render(fam: FlatFamily) -> str:
     g = fam.geometry
     K = g.field
-    # modulus has e+1 coefficients; same digit convention as elements
-    if K.p <= 10:
-        mod = "".join(str(c) for c in K.modulus)
-    else:
-        mod = ",".join(str(c) for c in K.modulus)
     lines = [MAGIC,
-             f"field p={K.p} e={K.e} modulus={mod}",
+             f"field p={K.p} e={K.e} modulus={_render_modulus(K)}",
              f"space kind={g.kind} rank={g.rank}"]
     for b in sorted(fam.blocks, key=lambda x: x.sort_key()):
         lines.append("block")
@@ -77,11 +79,7 @@ def parse(text: str) -> FlatFamily:
         K = field_new(p, e)
     except FieldError as exc:
         raise ParseError(str(exc)) from exc
-    if p <= 10:
-        file_mod = "".join(str(c) for c in K.modulus)
-    else:
-        file_mod = ",".join(str(c) for c in K.modulus)
-    if mod != file_mod:
+    if mod != _render_modulus(K):
         raise ParseError(f"modulus {mod!r} does not match the built-in "
                          f"modulus for ({p},{e})")
     g = GeometrySpec(kind, K, rank)

@@ -50,6 +50,20 @@ def _load_family(path: str) -> FlatFamily:
         raise CliError(EXIT_PARSE, f"parse error in {path}: {exc}") from exc
 
 
+def _load_family_with_header(path: str) -> FlatFamily:
+    """Load a family and print the kind/n/k/blocks lines of a report."""
+    fam = _load_family(path)
+    try:
+        k = fam.block_rank
+    except design.DesignError as exc:
+        raise CliError(EXIT_PARAMS, f"{path}: {exc}") from exc
+    print(f"kind={fam.geometry.kind}")
+    print(f"n={fam.geometry.rank}")
+    print(f"k={k}")
+    print(f"blocks={len(fam)}")
+    return fam
+
+
 def _construct_family(args) -> FlatFamily:
     try:
         if args.construction == "spread":
@@ -78,37 +92,26 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fam = _load_family(args.infile)
-    g = fam.geometry
-    print(f"kind={g.kind}")
-    print(f"n={g.rank}")
-    print(f"k={fam.block_rank}")
-    print(f"blocks={len(fam)}")
+    fam = _load_family_with_header(args.infile)
     try:
         result = design.verify_design(fam, args.t)
     except GuardExceeded as exc:
         raise CliError(EXIT_GUARD, str(exc)) from exc
     except design.DesignError as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
+    print(f"t={args.t}")
     if result.ok:
-        print(f"t={args.t}")
         print(f"lambda={result.lam}")
         return EXIT_OK
     lo, hi = result.counts
-    print(f"t={args.t}")
     print("violation=1")
     print(f"counts={lo},{hi}")
     return EXIT_VERIFY
 
 
 def cmd_analyze(args) -> int:
-    fam = _load_family(args.infile)
-    g = fam.geometry
-    print(f"kind={g.kind}")
-    print(f"n={g.rank}")
-    print(f"k={fam.block_rank}")
-    print(f"blocks={len(fam)}")
-    if g.kind == "affine":
+    fam = _load_family_with_header(args.infile)
+    if fam.geometry.kind == "affine":
         print(f"parallel_classes={design.parallel_classes(fam)}")
         print(f"skew={'true' if design.is_skew(fam) else 'false'}")
     print(f"max_meet_rank={codes.max_pairwise_meet_rank(fam)}")

@@ -10,7 +10,6 @@ rank >= t identifies its block uniquely in a partial S(t, k, n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import flatspace
 from .design import FlatFamily
@@ -69,11 +68,6 @@ def _meet_rank(a, b, affine: bool) -> int:
     return lin_meet(a, b).dim
 
 
-def _point_sets(fam: FlatFamily):
-    """Block point frozensets; fast path for small affine ambients."""
-    return [frozenset(b.points()) for b in fam.blocks]
-
-
 def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     """Largest rank of a meet of two distinct blocks (0 for a singleton)."""
     blocks = fam.blocks
@@ -84,7 +78,7 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     q = g.q
     if affine and q ** g.ambient_dim <= 1 << 20:
         # intersection of cosets is a coset, so its size is a power of q
-        sets = _point_sets(fam)
+        sets = [frozenset(b.points()) for b in blocks]
         best = 0
         for i in range(len(sets)):
             si = sets[i]
@@ -111,13 +105,11 @@ def is_partial_steiner(fam: FlatFamily, t: int) -> bool:
 
 def deletion_discrepancy(E, F):
     """r(E) - r(F) when F is contained in E, infinity otherwise."""
+    if not E.contains(F):
+        return INFINITY
     if isinstance(E, AffineFlat):
-        contained = E.contains(F)
-        re, rf = E.rank, F.rank
-    else:
-        contained = E.contains(F)
-        re, rf = E.dim, F.dim
-    return re - rf if contained else INFINITY
+        return E.rank - F.rank
+    return E.dim - F.dim
 
 
 def tau(E, Ep, g: GeometrySpec) -> int:

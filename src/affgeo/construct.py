@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 
 from . import flatspace
-from .design import DesignError, FlatFamily
-from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace,
-                        affine_geometry, projective_geometry)
-from .galois import FieldElem, FieldSpec, embed, field_new, field_of_order
+from .design import FlatFamily
+from .flatspace import (AffineFlat, LinearSubspace, affine_geometry,
+                        projective_geometry)
+from .galois import embed, field_new, field_of_order
 
 
 class ConstructError(ValueError):
@@ -25,8 +25,8 @@ class ConstructError(ValueError):
 
 def desarguesian_spread(n: int, k: int, q: int) -> FlatFamily:
     """Projective S(1, k, n): a partition of PG into rank-k subspaces."""
-    if n % k != 0:
-        raise ConstructError(f"spread needs k | n, got k={k}, n={n}")
+    if k < 1 or n % k != 0:
+        raise ConstructError(f"spread needs k >= 1 and k | n, got k={k}, n={n}")
     F = field_of_order(q)
     K = field_new(F.p, F.e * k)
     emb = embed(F, K)
@@ -52,18 +52,8 @@ def translate_closure(B: FlatFamily) -> FlatFamily:
     g = B.geometry
     if g.kind != "projective":
         raise ConstructError("translate_closure expects linear (projective) blocks")
-    K, d = g.field, g.ambient_dim
-    lex = K.encodings_lex()
-    out = []
-    for U in B.blocks:
-        nonpivot = [j for j in range(d) if j not in U.pivots]
-        for values in itertools.product(lex, repeat=len(nonpivot)):
-            rep = [0] * d
-            for j, val in zip(nonpivot, values):
-                rep[j] = val
-            out.append(AffineFlat(K, d, tuple(rep), U))
-    geom = affine_geometry(K, g.rank + 1)
-    return FlatFamily(geom, tuple(out)).sorted()
+    out = tuple(f for U in B.blocks for f in flatspace.cosets(U))
+    return FlatFamily(affine_geometry(g.field, g.rank + 1), out).sorted()
 
 
 def through_zero(D: FlatFamily) -> FlatFamily:

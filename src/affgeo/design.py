@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flatspace
-from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
-                        LinearSubspace, count_flats, enumerate_flats,
-                        flat_rank, rref_rows, vec_add, vec_scale)
+from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace, combine,
+                        count_flats, enumerate_flats, flat_rank)
 from .matroid import PmdType
 
 
@@ -112,15 +111,7 @@ def _affine_subflats(block: AffineFlat, t: int):
     out = []
     pts = block.points()
     for sub in flatspace.enumerate_subspaces(K, kk, t - 1):
-        # lift the coordinate subspace through the block's direction basis
-        lifted = []
-        for row in sub.rows:
-            v = (0,) * block.d
-            for c, brow in zip(row, block.dir.rows):
-                if c:
-                    v = vec_add(K, v, vec_scale(K, c, brow))
-            lifted.append(v)
-        T = LinearSubspace.from_rows(K, block.d, lifted)
+        T = LinearSubspace.from_rows(K, block.d, _lift(sub, block.dir))
         reps = {flatspace.reduce_vector(K, T.rows, T.pivots, p) for p in pts}
         for rep in sorted(reps):
             out.append(AffineFlat(K, block.d, rep, T))
@@ -130,17 +121,14 @@ def _affine_subflats(block: AffineFlat, t: int):
 def _projective_subflats(block: LinearSubspace, t: int):
     """All rank-t subspaces of a projective block."""
     K = block.spec
-    out = []
-    for sub in flatspace.enumerate_subspaces(K, block.dim, t):
-        lifted = []
-        for row in sub.rows:
-            v = (0,) * block.d
-            for c, brow in zip(row, block.rows):
-                if c:
-                    v = vec_add(K, v, vec_scale(K, c, brow))
-            lifted.append(v)
-        out.append(LinearSubspace.from_rows(K, block.d, lifted))
-    return out
+    return [LinearSubspace.from_rows(K, block.d, _lift(sub, block))
+            for sub in flatspace.enumerate_subspaces(K, block.dim, t)]
+
+
+def _lift(sub: LinearSubspace, basis: LinearSubspace):
+    """Rows of a subspace given in coordinates over basis.rows, in F_q^d."""
+    zero = (0,) * basis.d
+    return [combine(basis.spec, zero, row, basis.rows) for row in sub.rows]
 
 
 def subflats(block, t: int, g: GeometrySpec):
@@ -157,23 +145,30 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     if not fam.blocks:
         raise DesignError("cannot verify an empty family")
     k = fam.block_rank
-    if t > k:
-        raise DesignError(f"t={t} exceeds block rank {k}")
+    if not 0 <= t <= k:
+        raise DesignError(f"t={t} is outside [0, block rank {k}]")
     tally = Counter()
     for b in fam.blocks:
         tally.update(subflats(b, t, g))
-    total = count_flats(g, t)
+    return _judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
+
+
+def _judge(tally: Counter, total: int, everything) -> VerifyResult:
+    """lambda when all `total` keys are counted equally often, else a witness.
+
+    everything() lists every key; it is walked only when some key is
+    uncovered, and the first uncovered one is the witness.
+    """
     values = set(tally.values())
     if len(values) == 1 and len(tally) == total:
         return VerifyResult(True, lam=values.pop())
     if len(tally) < total:
-        # some rank-t flat is uncovered; find one for the report
         observed = max(values) if values else 0
-        for f in enumerate_flats(g, t):
-            if f not in tally:
-                return VerifyResult(False, witness=f, counts=(0, observed))
+        for key in everything():
+            if key not in tally:
+                return VerifyResult(False, witness=key, counts=(0, observed))
     lo, hi = min(values), max(values)
-    wit = next(f for f, c in tally.items() if c == lo)
+    wit = next(key for key, c in tally.items() if c == lo)
     return VerifyResult(False, witness=wit, counts=(lo, hi))
 
 
@@ -197,15 +192,8 @@ def complete_design(g: GeometrySpec, k: int) -> FlatFamily:
 
 # --- point indexing and classical expansion ------------------------------------
 
-def affine_point_index(g: GeometrySpec):
-    """Vectors of AG in serialization order, with index lookup."""
-    pts = sorted(flatspace.enumerate_points(g),
-                 key=lambda v: tuple(g.field.decode(c) for c in v))
-    return pts, {p: i for i, p in enumerate(pts)}
-
-
-def projective_point_index(g: GeometrySpec):
-    """Normalized 1-dim subspace representatives in serialization order."""
+def point_index(g: GeometrySpec):
+    """Ground points of AG/PG in serialization order, with index lookup."""
     pts = sorted(flatspace.enumerate_points(g),
                  key=lambda v: tuple(g.field.decode(c) for c in v))
     return pts, {p: i for i, p in enumerate(pts)}
@@ -216,7 +204,7 @@ def expand_subspace_design(fam: FlatFamily) -> ClassicalDesign:
     g = fam.geometry
     if g.kind != "projective":
         raise DesignError("expand_subspace_design needs a projective family")
-    _, index = projective_point_index(g)
+    _, index = point_index(g)
     K = g.field
     blocks = []
     for b in fam.blocks:
@@ -237,7 +225,7 @@ def expand_affine_design(fam: FlatFamily, t: int) -> ClassicalDesign:
         raise DesignError("expand_affine_design needs an affine family")
     if not (t == 2 or (t == 3 and g.q == 2)):
         raise DesignError(f"unsupported expansion: t={t}, q={g.q}")
-    _, index = affine_point_index(g)
+    _, index = point_index(g)
     blocks = tuple(frozenset(index[p] for p in b.points()) for b in fam.blocks)
     return ClassicalDesign(len(index), blocks)
 
@@ -248,18 +236,9 @@ def verify_classical(design: ClassicalDesign, t: int) -> VerifyResult:
     for b in design.blocks:
         for combo in itertools.combinations(sorted(b), t):
             tally[combo] += 1
-    total = math.comb(design.point_count, t)
-    values = set(tally.values())
-    if len(values) == 1 and len(tally) == total:
-        return VerifyResult(True, lam=values.pop())
-    if len(tally) < total:
-        observed = max(values) if values else 0
-        for combo in itertools.combinations(range(design.point_count), t):
-            if combo not in tally:
-                return VerifyResult(False, witness=combo, counts=(0, observed))
-    lo, hi = min(values), max(values)
-    wit = next(c for c, n in tally.items() if c == lo)
-    return VerifyResult(False, witness=wit, counts=(lo, hi))
+    v = design.point_count
+    return _judge(tally, math.comb(v, t),
+                  lambda: itertools.combinations(range(v), t))
 
 
 def ev11_compose(fam: FlatFamily) -> ClassicalDesign:

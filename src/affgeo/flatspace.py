@@ -41,10 +41,6 @@ def vec_sub(K: FieldSpec, u, v):
     return tuple(K.sub(a, b) for a, b in zip(u, v))
 
 
-def vec_scale(K: FieldSpec, c, u):
-    return tuple(K.mul(c, a) for a in u)
-
-
 def rref_rows(K: FieldSpec, rows, d):
     """Reduced row echelon form; returns (rows, pivots) as tuples."""
     work = [list(r) for r in rows]
@@ -81,35 +77,30 @@ def reduce_vector(K: FieldSpec, rows, pivots, v):
 
 
 def solve_combination(K: FieldSpec, gens, target, d):
-    """Coefficients c with sum(c_i * gens_i) == target, or None."""
+    """Coefficients c with sum(c_i * gens_i) == target, or None.
+
+    Eliminates [gens | I] on the first d columns; reducing target + 0^n
+    leaves -c in the identity half once the gens half is cleared.
+    """
     n = len(gens)
-    aug = [list(g) + [1 if j == i else 0 for j in range(n)] for i, g in enumerate(gens)]
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        lead = aug[r][col]
-        if lead != 1:
-            il = K.inv(lead)
-            aug[r] = [K.mul(il, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [K.sub(x, K.mul(c, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == n:
-            break
-    t = list(target) + [0] * n
-    for i in range(r):
-        col = next(c for c in range(d) if aug[i][c])
-        if t[col]:
-            coef = t[col]
-            t = [K.sub(x, K.mul(coef, y)) for x, y in zip(t, aug[i])]
+    aug = [tuple(g) + tuple(1 if j == i else 0 for j in range(n))
+           for i, g in enumerate(gens)]
+    rows, pivots = rref_rows(K, aug, d)
+    t = reduce_vector(K, rows, pivots, tuple(target) + (0,) * n)
     if any(t[:d]):
         return None
     return tuple(K.neg(x) for x in t[d:])
+
+
+def combine(K: FieldSpec, start, coeffs, rows):
+    """start + sum(c_i * rows_i), one table multiply-add per nonzero c_i."""
+    add, mul = K._add, K._mul
+    v = tuple(start)
+    for c, row in zip(coeffs, rows):
+        if c:
+            mc = mul[c]
+            v = tuple(add[a][mc[b]] for a, b in zip(v, row))
+    return v
 
 
 # --- core types -------------------------------------------------------------
@@ -171,15 +162,9 @@ class LinearSubspace:
 
     def vectors(self):
         """All q^dim vectors of the subspace, deterministic order."""
-        K = self.spec
-        out = []
-        for coeffs in itertools.product(K.encodings_lex(), repeat=self.dim):
-            v = (0,) * self.d
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = vec_add(K, v, vec_scale(K, c, row))
-            out.append(v)
-        return out
+        K, zero = self.spec, (0,) * self.d
+        return [combine(K, zero, coeffs, self.rows)
+                for coeffs in itertools.product(K.encodings_lex(), repeat=self.dim)]
 
     def sort_key(self):
         return (self.dim, self.pivots, self.rows)
@@ -347,16 +332,13 @@ def aff_meet(E: AffineFlat, F: AffineFlat) -> AffineFlat:
         return AffineFlat.empty(E.spec, E.d)
     K, d = E.spec, E.d
     diff = vec_sub(K, F.rep, E.rep)
-    gens = list(E.dir.rows) + [vec_scale(K, K.neg(1), r) for r in F.dir.rows]
+    gens = list(E.dir.rows) + [tuple(map(K.neg, r)) for r in F.dir.rows]
     if not gens:
         return E if diff == (0,) * d else AffineFlat.empty(K, d)
     coeffs = solve_combination(K, gens, diff, d)
     if coeffs is None:
         return AffineFlat.empty(K, d)
-    point = E.rep
-    for c, row in zip(coeffs[:E.dir.dim], E.dir.rows):
-        if c:
-            point = vec_add(K, point, vec_scale(K, c, row))
+    point = combine(K, E.rep, coeffs, E.dir.rows)  # E's share of coeffs
     return AffineFlat.coset(point, lin_meet(E.dir, F.dir))
 
 
@@ -449,17 +431,18 @@ def enumerate_flats(g: GeometrySpec, r: int):
         return list(enumerate_subspaces(K, d, r))
     if r == 0:
         return [AffineFlat.empty(K, d)]
-    t = r - 1
-    lex = K.encodings_lex()
-    out = []
-    for dir in enumerate_subspaces(K, d, t):
-        nonpivot = [j for j in range(d) if j not in dir.pivots]
-        for values in itertools.product(lex, repeat=len(nonpivot)):
-            rep = [0] * d
-            for j, val in zip(nonpivot, values):
-                rep[j] = val
-            out.append(AffineFlat(K, d, tuple(rep), dir))
-    return out
+    return [f for U in enumerate_subspaces(K, d, r - 1) for f in cosets(U)]
+
+
+def cosets(U: LinearSubspace):
+    """Every coset of U once, by canonical rep (zero on U's pivots), rep-lex order."""
+    K, d = U.spec, U.d
+    nonpivot = [j for j in range(d) if j not in U.pivots]
+    for values in itertools.product(K.encodings_lex(), repeat=len(nonpivot)):
+        rep = [0] * d
+        for j, val in zip(nonpivot, values):
+            rep[j] = val
+        yield AffineFlat(K, d, tuple(rep), U)
 
 
 def enumerate_points(g: GeometrySpec):

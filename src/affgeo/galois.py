@@ -298,26 +298,6 @@ def elements(spec: FieldSpec):
     return [FieldElem(spec, v) for v in spec.encodings_lex()]
 
 
-def _modp_solve_matrix(mat, p: int):
-    """Invert a square matrix over F_p; returns the inverse (list of rows)."""
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if aug[i][col] % p), None)
-        if piv is None:
-            raise FieldError("singular matrix in embedding setup")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        ilead = pow(aug[r][col], p - 2, p) if p > 2 else aug[r][col]
-        aug[r] = [(x * ilead) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] % p:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
-
-
 class Embedding:
     """Injective homomorphism F_{q} -> F_{q^m}, plus the vector-space view.
 
@@ -359,15 +339,20 @@ class Embedding:
 
     def _setup_coords(self):
         sup, sub = self.sup, self.sub
-        p = sup.p
         # basis of sup over F_p: {embed(x^i) * beta^j}; columns indexed (j, i)
         cols = []
         for j in range(self.m):
             for i in range(sub.e):
                 v = sup.mul(self._sub_basis_img[i], self.beta_pows[j])
                 cols.append(sup.decode(v))
-        mat = [[cols[c][r] for c in range(sup.e)] for r in range(sup.e)]
-        self._coord_inv = _modp_solve_matrix(mat, p)
+        e = sup.e
+        aug = [[cols[c][r] for c in range(e)] + [int(i == r) for i in range(e)]
+               for r in range(e)]
+        from .flatspace import rref_rows  # flatspace imports this module
+        rows, pivots = rref_rows(field_new(sup.p, 1), aug, e)
+        if len(pivots) != e:
+            raise FieldError("singular matrix in embedding setup")
+        self._coord_inv = [row[e:] for row in rows]
 
     def map_enc(self, a: int) -> int:
         """Embed a subfield encoding into the big field."""

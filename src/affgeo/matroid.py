@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import flatspace
 from .galois import FieldSpec
-from .flatspace import GeometrySpec, LinearSubspace, aff_closure
+from .flatspace import GeometrySpec, aff_closure
 
 EXHAUSTIVE_LIMIT = 12
 

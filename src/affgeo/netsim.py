@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import codes, flatspace
 from .design import FlatFamily
-from .flatspace import aff_closure, vec_add, vec_scale
+from .flatspace import aff_closure, combine, vec_add
 
 RNG_ID = "splitmix64"
 
@@ -42,7 +42,12 @@ class SplitMix64:
         return self.next_u64() % n
 
     def chance(self, prob: Fraction) -> bool:
-        """Bernoulli draw with an exact rational probability."""
+        """Bernoulli draw with rational probability prob = a/n.
+
+        below(n) is u64 % n, which is not exactly uniform: the chance of
+        True differs from a/n by at most n/2^64.  The seeded stream is
+        kept as it is rather than switched to rejection sampling.
+        """
         if prob <= 0:
             return False
         if prob >= 1:
@@ -138,11 +143,7 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
                 layer.append(None)
                 continue
             lam = random_affine_coeffs(rng, spec, len(inputs))
-            acc = (0,) * len(inputs[0])
-            for c, v in zip(lam, inputs):
-                if c:
-                    acc = vec_add(spec, acc, vec_scale(spec, c, v))
-            layer.append(acc)
+            layer.append(combine(spec, (0,) * len(inputs[0]), lam, inputs))
         prev = layer
     return gather(cfg.sink_indegree, prev)
 
@@ -168,6 +169,12 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     g = code.geometry
     if g.kind != "affine":
         raise ValueError("the simulator models affine network coding")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    k = code.block_rank
+    if forced_deletions is not None and not 0 <= forced_deletions <= k - 1:
+        raise ValueError(f"forced deletions must be in [0, {k - 1}] for "
+                         f"rank-{k} blocks, got {forced_deletions}")
     K = g.field
     successes = ambiguities = erasures = 0
     rank_total = 0

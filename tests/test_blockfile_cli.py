@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from affgeo import (affine_steiner, complete_design, desarguesian_spread,
@@ -143,3 +145,59 @@ def test_cli_threads_env_validation(tmp_path, monkeypatch, capsys):
 def test_cli_guard_exit(capsys, tmp_path):
     assert main(["construct", "complete", "--q", "5", "--kind", "affine",
                  "--n", "13", "--k", "6", "--out", str(tmp_path / "big")]) == 3
+
+
+# SHA-256 of the block files written by `construct`, recorded before the
+# row kernel, coset enumerator and tally were merged; outputs must not move.
+CONSTRUCT_DIGESTS = [
+    (["spread", "--q", "3", "--n", "4", "--k", "2"],
+     "9fd20ea34846c7bc3139dc02098db266cd76ce75490be9081130a5c4e5b6655f"),
+    (["poly-code", "--q", "2", "--m", "3", "--l", "3", "--t", "3"],
+     "d89a428626e1fc9bdc449a9b1047b14c863ddf769b70abbd73f55fc7eedb9c15"),
+    (["complete", "--q", "3", "--kind", "affine", "--n", "3", "--k", "2"],
+     "fe2dd366a650e8a3587d3f7115bdec7556d0de88df6ab1d18f42659789496198"),
+    (["affine-steiner", "--q", "2", "--k", "2", "--l", "3"],
+     "b78479798886674f1bdf719b7602cc4a0ddcee4757140c9a9f73b48aae7ebdb6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CONSTRUCT_DIGESTS,
+                         ids=[a[0] for a, _ in CONSTRUCT_DIGESTS])
+def test_cli_construct_block_file_digests(tmp_path, capsys, argv, digest):
+    out = tmp_path / "f.blocks"
+    assert main(["construct", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "empty.blocks").write_text(
+        "affgeo v1\nfield p=2 e=1 modulus=01\nspace kind=affine rank=4\n")
+    # S(2,3,5): rank-3 blocks, so at most 2 forced deletions
+    assert main(["construct", "affine-steiner", "--q", "2", "--k", "2",
+                 "--l", "2", "--out", str(root / "s5.blocks")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["verify", "{d}/empty.blocks", "--t", "2"], 2, "empty family"),
+    (["analyze", "{d}/empty.blocks"], 2, "empty family"),
+    (["verify", "{d}/s5.blocks", "--t", "-1"], 2, "t=-1"),
+    (["construct", "spread", "--q", "2", "--n", "0", "--k", "0",
+      "--out", "{d}/x.blocks"], 2, "k >= 1"),
+    (["simulate", "{d}/s5.blocks", "--trials", "3",
+      "--forced-deletions", "5"], 2, "forced deletions"),
+    (["simulate", "{d}/s5.blocks", "--trials", "3",
+      "--forced-deletions", "-1"], 2, "forced deletions"),
+    (["simulate", "{d}/s5.blocks", "--trials", "-3"], 2, "trials"),
+], ids=["verify-empty", "analyze-empty", "verify-negative-t",
+        "spread-k0", "forced-above-k", "forced-negative", "trials-negative"])
+def test_cli_bad_input_exit_codes(contract_files, capsys, argv, code, message):
+    capsys.readouterr()
+    argv = [a.format(d=contract_files) for a in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

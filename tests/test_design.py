@@ -145,3 +145,12 @@ def test_parallel_classes_and_skew():
         one_per_dir.setdefault(b.dir, b)
     skew = FlatFamily(g, tuple(one_per_dir.values()))
     assert is_skew(skew)
+
+
+def test_verify_classical_uneven_witness_has_least_count():
+    # dropping one block leaves its 4 points in 4 blocks, the rest in 5
+    cd = expand_affine_design(affine_steiner(2, 2, 2), 2)
+    uneven = ClassicalDesign(cd.point_count, cd.blocks[:-1])
+    res = verify_classical(uneven, 1)
+    assert not res.ok and res.counts == (4, 5)
+    assert sum(res.witness[0] in b for b in uneven.blocks) == 4
