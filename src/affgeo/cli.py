@@ -114,8 +114,9 @@ def cmd_analyze(args) -> int:
     if fam.geometry.kind == "affine":
         print(f"parallel_classes={design.parallel_classes(fam)}")
         print(f"skew={'true' if design.is_skew(fam) else 'false'}")
-    print(f"max_meet_rank={codes.max_pairwise_meet_rank(fam)}")
-    print(f"radius={codes.correction_radius(fam)}")
+    m = codes.max_pairwise_meet_rank(fam)
+    print(f"max_meet_rank={m}")
+    print(f"radius={fam.block_rank - m - 1}")
     return EXIT_OK
 
 

@@ -4,14 +4,17 @@ subspace_distance is the projective (Grassmannian) metric; d_wedge is
 its affine analog via meets, which fails the triangle inequality --
 metric_violation_witness produces the standard two-parallel-planes
 configuration.  The decoder is containment-based: a received subflat of
-rank >= t identifies its block uniquely in a partial S(t, k, n).
+rank >= t identifies its block uniquely in a partial S(t, k, n).  The
+largest pairwise meet rank m, which fixes the correction radius
+k - m - 1, comes from a collision tally of subflats whose cost is the
+number of rank-(m+1) subflats of the blocks, against b^2 pairwise meets.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import flatspace
+from . import design, flatspace
 from .design import FlatFamily
 from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
                         LinearSubspace, aff_meet, lin_meet)
@@ -62,40 +65,31 @@ def metric_violation_witness(g: GeometrySpec):
     return E, T, F
 
 
-def _meet_rank(a, b, affine: bool) -> int:
-    if affine:
-        return aff_meet(a, b).rank
-    return lin_meet(a, b).dim
-
-
 def max_pairwise_meet_rank(fam: FlatFamily) -> int:
-    """Largest rank of a meet of two distinct blocks (0 for a singleton)."""
+    """Largest rank of a meet of two distinct blocks (0 for a singleton).
+
+    Ascending collision tally: a meet of flats is a flat, so the meet
+    rank is at least r exactly when some rank-r flat lies in two blocks.
+    Level r = 1, 2, ..., k-1 puts the blocks' rank-r subflats in a set,
+    keyed by sort_key(), and stops at its first repeat; the answer is r-1
+    for the first level with no repeat, or k-1.  Cost: the rank-(m+1)
+    subflats of all blocks, against b^2 meets for a pairwise scan.
+    """
     blocks = fam.blocks
     if len(blocks) < 2:
         return 0
     g = fam.geometry
-    affine = g.kind == "affine"
-    q = g.q
-    if affine and q ** g.ambient_dim <= 1 << 20:
-        # intersection of cosets is a coset, so its size is a power of q
-        sets = [frozenset(b.points()) for b in blocks]
-        best = 0
-        for i in range(len(sets)):
-            si = sets[i]
-            for j in range(i + 1, len(sets)):
-                n = len(si & sets[j])
-                if n:
-                    r = round(math.log(n, q)) + 1
-                    if r > best:
-                        best = r
-        return best
-    best = 0
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            r = _meet_rank(blocks[i], blocks[j], affine)
-            if r > best:
-                best = r
-    return best
+    k = fam.block_rank
+    for r in range(1, k):
+        seen = set()
+        keys = (f.sort_key() for b in blocks for f in design.subflats(b, r, g))
+        for key in keys:
+            if key in seen:
+                break
+            seen.add(key)
+        else:
+            return r - 1
+    return k - 1
 
 
 def is_partial_steiner(fam: FlatFamily, t: int) -> bool:
@@ -114,9 +108,8 @@ def deletion_discrepancy(E, F):
 
 def tau(E, Ep, g: GeometrySpec) -> int:
     """k - r(E ^ E') - 1: deletions survivable against this competitor."""
-    affine = g.kind == "affine"
-    k = flatspace.flat_rank(E, g)
-    return k - _meet_rank(E, Ep, affine) - 1
+    meet = aff_meet(E, Ep) if g.kind == "affine" else lin_meet(E, Ep)
+    return flatspace.flat_rank(E, g) - flatspace.flat_rank(meet, g) - 1
 
 
 def tau_bruteforce(E, Ep, g: GeometrySpec) -> int:
@@ -134,29 +127,10 @@ def tau_bruteforce(E, Ep, g: GeometrySpec) -> int:
 
 
 def correction_radius(fam: FlatFamily) -> int:
-    """min pairwise tau; a singleton family gets k - 1 by convention."""
+    """min pairwise tau = k - m - 1 for meet rank m; a singleton gets k - 1."""
     if not fam.blocks:
         raise GeometryError("empty family has no correction radius")
-    k = fam.block_rank
-    if len(fam.blocks) == 1:
-        return k - 1
-    return k - max_pairwise_meet_rank(fam) - 1
-
-
-class _PointIndex:
-    """Point -> blocks map to prune containment scans in small ambients."""
-
-    def __init__(self, fam: FlatFamily):
-        self.index = {}
-        for b in fam.blocks:
-            for p in b.points():
-                self.index.setdefault(p, []).append(b)
-
-    def candidates(self, received: AffineFlat):
-        return self.index.get(received.rep, ())
-
-
-_decode_indexes: dict = {}
+    return fam.block_rank - max_pairwise_meet_rank(fam) - 1
 
 
 def decode(fam: FlatFamily, received):
@@ -173,10 +147,7 @@ def decode(fam: FlatFamily, received):
     if rank < 1:
         raise GeometryError("received flat must have rank >= 1")
     if affine and g.q ** g.ambient_dim <= 1 << 20:
-        idx = _decode_indexes.get(fam)
-        if idx is None:
-            idx = _decode_indexes[fam] = _PointIndex(fam)
-        pool = idx.candidates(received)
+        pool = fam.point_blocks.get(received.rep, ())
     else:
         pool = fam.blocks
     hits = [b for b in pool if b.contains(received)]

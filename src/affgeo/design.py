@@ -16,6 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import flatspace
@@ -47,6 +48,15 @@ class FlatFamily:
         if not self.blocks:
             raise DesignError("empty family has no block rank")
         return flat_rank(self.blocks[0], self.geometry)
+
+    @cached_property
+    def point_blocks(self) -> dict:
+        """Point -> blocks through it (affine families), built on first use."""
+        index = {}
+        for b in self.blocks:
+            for p in b.points():
+                index.setdefault(p, []).append(b)
+        return index
 
     def sorted(self) -> "FlatFamily":
         return FlatFamily(self.geometry,

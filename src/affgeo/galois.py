@@ -213,9 +213,14 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, e={self.e})"
 
 
-@lru_cache(maxsize=None)
 def field_new(p: int, e: int = 1) -> FieldSpec:
-    """The field F_{p^e} with the built-in deterministic modulus."""
+    """The field F_{p^e} with the built-in deterministic modulus; one
+    instance per (p, e), so field_new(p) is field_new(p, e=1)."""
+    return _field_new(p, e)
+
+
+@lru_cache(maxsize=None)
+def _field_new(p: int, e: int) -> FieldSpec:
     if not _is_prime(p):
         raise FieldError(f"p={p} is not prime")
     if e < 1:

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from affgeo import (affine_steiner, complete_design, desarguesian_spread,
-                    expand_affine_design, field_new, projective_geometry)
+from affgeo import (affine_steiner, codes, complete_design,
+                    desarguesian_spread, expand_affine_design, field_new,
+                    projective_geometry)
 from affgeo.blockfile import (ParseError, parse, parse_classical, render,
                               render_classical)
 from affgeo.cli import main
@@ -74,6 +75,34 @@ def test_cli_construct_verify_analyze(tmp_path, capsys):
     assert "parallel_classes=5" in captured
     assert "max_meet_rank=1" in captured
     assert "radius=1" in captured
+
+
+def test_cli_analyze_s239_report(tmp_path, capsys):
+    out = tmp_path / "s9.blocks"
+    assert main(["construct", "affine-steiner", "--q", "2", "--k", "2",
+                 "--l", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "kind=affine\nn=9\nk=3\nblocks=5440\nparallel_classes=85\n"
+        "skew=false\nmax_meet_rank=1\nradius=1\n")
+
+
+def test_cli_analyze_computes_meet_rank_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "s5.blocks"
+    assert main(["construct", "affine-steiner", "--q", "2", "--k", "2",
+                 "--l", "2", "--out", str(out)]) == 0
+    calls = []
+    meet_rank = codes.max_pairwise_meet_rank
+
+    def counting(fam):
+        calls.append(fam)
+        return meet_rank(fam)
+
+    monkeypatch.setattr(codes, "max_pairwise_meet_rank", counting)
+    assert main(["analyze", str(out)]) == 0
+    assert len(calls) == 1
+    assert "radius=1" in capsys.readouterr().out
 
 
 def test_cli_roundtrip_byte_identical(tmp_path):

@@ -1,15 +1,20 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from affgeo import (AffineFlat, Ambiguity, Erasure, FlatFamily,
-                    LinearSubspace, VectorFq, aff_closure, affine_geometry,
-                    affine_steiner, correction_radius, d_wedge, decode,
-                    deletion_discrepancy, enumerate_flats, field_new,
-                    is_partial_steiner, max_pairwise_meet_rank,
-                    metric_violation_witness, projective_geometry,
-                    subspace_distance, tau, tau_bruteforce)
+                    LinearSubspace, VectorFq, aff_closure, aff_meet,
+                    affine_geometry, affine_poly_code, affine_steiner,
+                    complete_design, correction_radius, d_wedge, decode,
+                    deletion_discrepancy, desarguesian_spread,
+                    enumerate_flats, field_new, is_partial_steiner, lin_meet,
+                    max_pairwise_meet_rank, metric_violation_witness,
+                    projective_geometry, subspace_distance, tau,
+                    tau_bruteforce)
 from affgeo.codes import INFINITY
+from affgeo.design import subflats
 
 F2 = field_new(2)
 
@@ -102,7 +107,61 @@ def test_decode_success_erasure_ambiguity():
 
 def test_decode_all_lines_of_all_blocks():
     fam = affine_steiner(2, 2, 2)
-    from affgeo.design import subflats
     for block in fam.blocks:
         for line in subflats(block, 2, fam.geometry):
             assert decode(fam, line) == block
+
+
+def pairwise_meet_rank(fam):
+    """Oracle for the collision tally: the largest meet rank over all pairs."""
+    affine = fam.geometry.kind == "affine"
+    return max((aff_meet(a, b).rank if affine else lin_meet(a, b).dim
+                for a, b in itertools.combinations(fam.blocks, 2)), default=0)
+
+
+AG32 = affine_geometry(F2, 4)
+AG32_PLANES = enumerate_flats(AG32, 3)
+
+MEET_RANK_FAMILIES = {
+    "ag32-lines": lambda: complete_design(AG32, 2),
+    "ag32-planes": lambda: complete_design(AG32, 3),
+    "pg32-spread": lambda: desarguesian_spread(4, 2, 2),
+    "s237": lambda: affine_steiner(2, 3, 2),
+    "poly-q3": lambda: affine_poly_code(3, 2, 2, 2),
+    "singleton": lambda: FlatFamily(AG32, AG32_PLANES[:1]),
+    "two-parallel-planes": lambda: FlatFamily(AG32, tuple(
+        p for p in AG32_PLANES if p.dir == AG32_PLANES[0].dir)),
+    "two-meeting-planes": lambda: FlatFamily(AG32, (
+        AG32_PLANES[0],
+        next(p for p in AG32_PLANES if aff_meet(AG32_PLANES[0], p).rank == 2))),
+}
+
+
+@pytest.mark.parametrize("make", MEET_RANK_FAMILIES.values(),
+                         ids=MEET_RANK_FAMILIES.keys())
+def test_meet_rank_tally_matches_pairwise_scan(make):
+    fam = make()
+    m = pairwise_meet_rank(fam)
+    assert max_pairwise_meet_rank(fam) == m
+    assert correction_radius(fam) == fam.block_rank - m - 1
+
+
+def test_indexed_decode_matches_linear_scan_on_s237():
+    fam = affine_steiner(2, 3, 2)  # S(2,3,7) in AG(6,2)
+    for line in enumerate_flats(fam.geometry, 2):
+        hits = [b for b in fam.blocks if b.contains(line)]
+        assert len(hits) == 1
+        assert decode(fam, line) == hits[0]
+
+
+def test_decoded_family_is_not_kept_alive():
+    # a family no other test builds, so no equal family is cached elsewhere
+    s5 = affine_steiner(2, 2, 2)
+    fam = FlatFamily(s5.geometry, s5.blocks[:7])
+    block = fam.blocks[0]
+    line = subflats(block, 2, fam.geometry)[0]
+    assert decode(fam, line) == block
+    ref = weakref.ref(fam)
+    del fam
+    gc.collect()
+    assert ref() is None

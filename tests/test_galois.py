@@ -54,6 +54,15 @@ def test_field_new_deterministic():
     assert field_new(3, 3).modulus == field_new(3, 3).modulus
 
 
+@pytest.mark.parametrize("p", [2, 7])
+def test_field_new_one_instance_per_field(p):
+    K = field_new(p)
+    assert field_new(p, 1) is K
+    assert field_new(p, e=1) is K
+    assert field_new(p=p) is K
+    assert field_of_order(p) is K
+
+
 def test_f8_arithmetic_examples():
     F8 = field_new(2, 3)
     alpha = elem(F8, (0, 1, 0))
