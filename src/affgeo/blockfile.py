@@ -21,7 +21,8 @@ render then writes in canonical form.
 from __future__ import annotations
 
 from .design import FlatFamily, ClassicalDesign
-from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace)
+from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
+                        LinearSubspace)
 from .galois import FieldError, field_new
 
 MAGIC = "affgeo v1"
@@ -36,7 +37,10 @@ def _render_vec(K, v) -> str:
 
 
 def _parse_vec(K, tokens) -> tuple:
-    return tuple(K.parse_digits(tok) for tok in tokens)
+    try:
+        return tuple(K.parse_digits(tok) for tok in tokens)
+    except FieldError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _render_modulus(K) -> str:
@@ -82,7 +86,10 @@ def parse(text: str) -> FlatFamily:
     if mod != _render_modulus(K):
         raise ParseError(f"modulus {mod!r} does not match the built-in "
                          f"modulus for ({p},{e})")
-    g = GeometrySpec(kind, K, rank)
+    try:
+        g = GeometrySpec(kind, K, rank)
+    except GeometryError as exc:
+        raise ParseError(str(exc)) from exc
     d = g.ambient_dim
 
     blocks = []

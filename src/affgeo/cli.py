@@ -73,6 +73,9 @@ def _construct_family(args) -> FlatFamily:
         if args.construction == "poly-code":
             return construct.affine_poly_code(args.q, args.m, args.l, args.t)
         if args.construction == "complete":
+            if args.kind == "affine" and args.k == 0:
+                raise CliError(EXIT_PARAMS, "k=0 is the empty flat, which a "
+                                            "block file cannot hold")
             field = field_of_order(args.q)
             g = flatspace.GeometrySpec(args.kind, field, args.n)
             return design.complete_design(g, args.k)

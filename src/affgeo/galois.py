@@ -3,14 +3,23 @@
 Elements are stored as integers in [0, p^e) encoding polynomial-basis
 coordinates: the value sum(c_i * p^i) encodes the element with
 coefficients (c_0, ..., c_{e-1}), constant term first.  Each FieldSpec
-carries add/mul/inv lookup tables, so per-operation cost is a couple of
-list indexings.  Fields are capped at ORDER_LIMIT elements; this is a
+carries add/mul/neg/inv lookup tables, so per-operation cost is a couple
+of list indexings.  Fields are capped at ORDER_LIMIT elements; this is a
 desk-scale library, not a crypto one.
 
 The modulus for (p, e) is the lexicographically least monic irreducible
 polynomial of degree e over F_p (ordered by the coefficient tuple,
 constant term first), found by trial division.  Same (p, e) always
 yields the same field.
+
+The tables are log/antilog tables (Lidl & Niederreiter, *Finite Fields*,
+ch. 9).  The least primitive element g, by encoding, is found by walking
+each candidate's powers with polynomial multiplication, at most q - 1
+products per candidate instead of the q^2 of a direct fill.  Then
+a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)].  Addition is
+XOR for p = 2; for odd p its rows are built digit by digit from the F_p
+table.  The modulus fixes every product, so the tables, and so every
+block file, do not depend on how they are computed.
 """
 
 from __future__ import annotations
@@ -110,43 +119,52 @@ class FieldSpec:
     def __init__(self, p: int, e: int, modulus: tuple):
         self.p = p
         self.e = e
-        self.order = p ** e
+        self.order = q = p ** e
         self.modulus = modulus
+        self._coeffs = [tuple((v // p ** i) % p for i in range(e)) for v in range(q)]
+        self._lex = tuple(sorted(range(q), key=self._coeffs.__getitem__))
         self._build_tables()
 
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.order
-        coeff = [self.decode(v) for v in range(q)]
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            self._add = [
-                [self.encode(tuple((x + y) % p for x, y in zip(coeff[a], coeff[b])))
-                 for b in range(q)]
-                for a in range(q)
-            ]
-            self._mul = [
-                [self.encode(_poly_mod_mul(coeff[a], coeff[b], self.modulus, p))
-                 for b in range(q)]
-                for a in range(q)
-            ]
-        self._neg = [self._neg_scan(a) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            self._inv[a] = row.index(1)
+        p, q = self.p, self.order
+        exp = self._primitive_powers()
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp2, nz = exp + exp, log[1:]  # exp2[i + j] needs no reduction mod q - 1
+        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in nz] for la in nz]
+        self._inv = [0] + [exp[-la] for la in nz]
+        log_neg_one = 0 if p == 2 else (q - 1) // 2
+        self._neg = [0] + [exp2[la + log_neg_one] for la in nz]
+        if p == 2:
+            self._add = [[a ^ b for b in range(q)] for a in range(q)]
+            return
+        digit = [[(x + y) % p for y in range(p)] for x in range(p)]
+        add, n = digit, p
+        while n < q:  # append a most significant digit: a = n * a_top + a_low
+            top = [[n * d for d in row] for row in digit]
+            add = [[t + v for t in top[at] for v in low] for at in range(p) for low in add]
+            n *= p
+        self._add = add
 
-    def _neg_scan(self, a):
-        p = self.p
-        return self.encode(tuple((-c) % p for c in self.decode(a)))
+    def _primitive_powers(self) -> list:
+        """Encodings of g^0, ..., g^(q-2) for the least primitive element g,
+        walking each candidate's powers by polynomial multiplication."""
+        q, coeffs = self.order, self._coeffs
+        for g in range(1, q):
+            powers, x = [1], coeffs[g]
+            while (v := self.encode(x)) != 1:
+                powers.append(v)
+                x = _poly_mod_mul(x, coeffs[g], self.modulus, self.p)
+            if len(powers) == q - 1:
+                return powers
+        raise FieldError(f"no primitive element mod {self.modulus}")  # unreachable
 
     # --- encoding helpers -------------------------------------------------
 
     def decode(self, val: int) -> tuple:
         """Integer encoding -> coefficient tuple (constant first)."""
-        p = self.p
-        return tuple((val // p ** i) % p for i in range(self.e))
+        return self._coeffs[val]
 
     def encode(self, coeffs) -> int:
         p = self.p
@@ -182,9 +200,9 @@ class FieldSpec:
             n >>= 1
         return result
 
-    def encodings_lex(self):
+    def encodings_lex(self) -> tuple:
         """All encodings ordered lexicographically by coefficient tuple."""
-        return sorted(range(self.order), key=self.decode)
+        return self._lex
 
     def digits(self, val: int) -> str:
         """Serialize an element: e base-p digits, constant first."""
@@ -194,10 +212,10 @@ class FieldSpec:
         return ",".join(str(c) for c in cs)
 
     def parse_digits(self, s: str) -> int:
-        if self.p <= 10:
-            cs = tuple(int(ch) for ch in s)
-        else:
-            cs = tuple(int(tok) for tok in s.split(","))
+        try:
+            cs = tuple(int(tok) for tok in (s if self.p <= 10 else s.split(",")))
+        except ValueError:
+            cs = ()
         if len(cs) != self.e or any(not 0 <= c < self.p for c in cs):
             raise FieldError(f"bad element serialization {s!r} for F_{self.p}^{self.e}")
         return self.encode(cs)

@@ -1,6 +1,10 @@
+import contextlib
 import hashlib
+import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affgeo import (affine_steiner, codes, complete_design,
                     desarguesian_spread, expand_affine_design, field_new,
@@ -230,3 +234,115 @@ def test_cli_bad_input_exit_codes(contract_files, capsys, argv, code, message):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# --- CLI contract fuzz: every argv and every input file exits 0/2/3/4/5 ---------
+
+FUZZ_BASES = {
+    "s5": ["affine-steiner", "--q", "2", "--k", "2", "--l", "2"],
+    "spread3": ["spread", "--q", "3", "--n", "4", "--k", "2"],
+    "poly4": ["poly-code", "--q", "4", "--m", "2", "--l", "1", "--t", "1"],
+    "lines9": ["complete", "--q", "9", "--kind", "affine", "--n", "3", "--k", "2"],
+}
+FUZZ_OPTIONS = {
+    "spread": ("--n", "--k"),
+    "affine-steiner": ("--k", "--l"),
+    "poly-code": ("--m", "--l", "--t"),
+    "complete": ("--n", "--k"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name, argv in FUZZ_BASES.items():
+            assert main(["construct", *argv, "--out", str(root / name)]) == 0
+    return root
+
+
+def _mutate(text, edits):
+    """Drop, duplicate or garble lines; garbling replaces or deletes one char."""
+    lines = text.splitlines(keepends=True)
+    for op, i, j, ch in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            j %= max(len(lines[i]), 1)
+            lines[i] = lines[i][:j] + ch + lines[i][j + 1:]
+    return "".join(lines)
+
+
+@st.composite
+def cli_cases(draw):
+    """An argv (with {d} for the work directory) and an optional edit list
+    for the input block file, which is one of FUZZ_BASES or missing."""
+    def num(lo=-1, hi=2):
+        return str(draw(st.integers(lo, hi)))
+
+    command = draw(st.sampled_from(
+        ["construct", "verify", "analyze", "expand", "simulate"]))
+    base = edits = None
+    if command == "construct":
+        construction = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+        argv = ["construct", construction, "--q",
+                str(draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 9])))]
+        for opt in FUZZ_OPTIONS[construction]:
+            argv += [opt, num()]
+        if construction == "complete":
+            argv += ["--kind", draw(st.sampled_from(["affine", "projective"]))]
+        argv += ["--out", "{d}/out.blocks"]
+    else:
+        base = draw(st.sampled_from([*FUZZ_BASES, "missing"]))
+        edits = draw(st.lists(st.tuples(
+            st.sampled_from(["drop", "dup", "garble"]),
+            st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
+            st.sampled_from(["", "0", "1", "2", "9", "x", " ", "=", ",", "-"])),
+            max_size=3))
+        argv = [command, "{d}/in.blocks"]
+        if command == "verify":
+            argv += ["--t", num(-1, 3)]
+        elif command == "expand":
+            argv += ["--mode", draw(st.sampled_from(
+                ["subspace", "affine-2", "affine-3", "ev11"])),
+                "--out", "{d}/out.design"]
+        elif command == "simulate":
+            argv += ["--trials", num(-1, 3), "--seed", num(0, 3),
+                     "--layers", num(), "--width", num(), "--indegree", num(),
+                     "--sink-indegree", num(),
+                     "--drop-prob", draw(st.sampled_from(
+                         ["0", "1/3", "1", "3/2", "-1/2", "1/0", "x"]))]
+            if draw(st.booleans()):
+                argv += ["--forced-deletions", num(-1, 3)]
+    damage = draw(st.sampled_from([None, "drop", "junk"]))
+    if damage:
+        i = draw(st.integers(0, len(argv) - 1))
+        argv[i:i + 1] = [] if damage == "drop" else ["-7"]
+    return argv, base, edits
+
+
+@settings(max_examples=150, deadline=10000, derandomize=True)
+@given(case=cli_cases())
+@example(case=(["verify", "{d}/in.blocks", "--t", "0"], "s5",
+               [("garble", 4, 4, "2")]))  # digit 2 in a file over F_2
+@example(case=(["construct", "complete", "--q", "2", "--n", "1", "--k", "0",
+                "--kind", "affine", "--out", "{d}/out.blocks"], None, None))
+def test_cli_contract_fuzz(fuzz_dir, case):
+    argv, base, edits = case
+    target = fuzz_dir / "in.blocks"
+    target.unlink(missing_ok=True)
+    if base in FUZZ_BASES:
+        target.write_text(_mutate((fuzz_dir / base).read_text(), edits))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([a.format(d=fuzz_dir) for a in argv])
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -158,3 +159,69 @@ def test_serialization_digits():
     assert F8.parse_digits("110") == F8.encode((1, 1, 0))
     F3 = field_new(3)
     assert elem(F3, 2).digits() == "2"
+
+
+# --- differential oracle: the direct polynomial-multiplication fill ------------
+
+def oracle_poly_mul(a, b, modulus, p):
+    """Schoolbook product of coefficient tuples, reduced by the monic modulus."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for i in range(len(prod) - 1, e - 1, -1):
+        c, prod[i] = prod[i], 0
+        for j in range(e):
+            prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
+    return tuple(prod[:e])
+
+
+def oracle_ops(K):
+    """add/mul/neg on encodings, computed from coefficient tuples."""
+    p, e = K.p, K.e
+    coeff = [tuple((v // p ** i) % p for i in range(e)) for v in range(K.order)]
+    enc = {c: v for v, c in enumerate(coeff)}
+
+    def add(a, b):
+        return enc[tuple((x + y) % p for x, y in zip(coeff[a], coeff[b]))]
+
+    def mul(a, b):
+        return enc[oracle_poly_mul(coeff[a], coeff[b], K.modulus, p)]
+
+    def neg(a):
+        return enc[tuple((-c) % p for c in coeff[a])]
+
+    return add, mul, neg
+
+
+ORACLE_FIELDS = [(p, e) for p in (2, 3, 5, 7, 11) for e in range(2, 8)
+                 if p ** e <= 128]
+
+
+@pytest.mark.parametrize("p,e", ORACLE_FIELDS + [(2, 1), (3, 1), (127, 1)])
+def test_tables_match_polynomial_oracle(p, e):
+    K = field_new(p, e)
+    q = K.order
+    add, mul, neg = oracle_ops(K)
+    assert K._add == [[add(a, b) for b in range(q)] for a in range(q)]
+    mul_table = [[mul(a, b) for b in range(q)] for a in range(q)]
+    assert K._mul == mul_table
+    assert K._neg == [neg(a) for a in range(q)]
+    assert K._inv == [0] + [mul_table[a].index(1) for a in range(1, q)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 9), (7, 3), (19, 2)])
+def test_tables_match_polynomial_oracle_sampled(p, e):
+    K = field_new(p, e)
+    q = K.order
+    add, mul, neg = oracle_ops(K)
+    rng = random.Random(f"oracle-{p}-{e}")
+    for _ in range(4096):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert K.add(a, b) == add(a, b)
+        assert K.mul(a, b) == mul(a, b)
+    assert [K.neg(a) for a in range(q)] == [neg(a) for a in range(q)]
+    assert all(mul(a, K.inv(a)) == 1 for a in range(1, q))
+    assert K.encodings_lex() == tuple(sorted(range(q), key=lambda v: tuple(
+        (v // p ** i) % p for i in range(e))))
