@@ -33,12 +33,12 @@ class ParseError(ValueError):
 
 
 def _render_vec(K, v) -> str:
-    return " ".join(K.digits(c) for c in v)
+    return " ".join(map(K.digits, v))
 
 
 def _parse_vec(K, tokens) -> tuple:
     try:
-        return tuple(K.parse_digits(tok) for tok in tokens)
+        return tuple(map(K.parse_digits, tokens))
     except FieldError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -82,7 +82,8 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     k = fam.block_rank
     for r in range(1, k):
         seen = set()
-        keys = (f.sort_key() for b in blocks for f in design.subflats(b, r, g))
+        shapes = design.subflat_shapes(g, k, r)
+        keys = (f.sort_key() for b in blocks for f in design.subflats(b, r, g, shapes))
         for key in keys:
             if key in seen:
                 break

@@ -28,6 +28,7 @@ def desarguesian_spread(n: int, k: int, q: int) -> FlatFamily:
     if k < 1 or n % k != 0:
         raise ConstructError(f"spread needs k >= 1 and k | n, got k={k}, n={n}")
     F = field_of_order(q)
+    flatspace.check_guard((q ** n - 1) // (q ** k - 1), "blocks")
     K = field_new(F.p, F.e * k)
     emb = embed(F, K)
     m = n // k
@@ -52,6 +53,7 @@ def translate_closure(B: FlatFamily) -> FlatFamily:
     g = B.geometry
     if g.kind != "projective":
         raise ConstructError("translate_closure expects linear (projective) blocks")
+    flatspace.check_guard(sum(g.q ** (g.rank - U.dim) for U in B.blocks), "blocks")
     out = tuple(f for U in B.blocks for f in flatspace.cosets(U))
     return FlatFamily(affine_geometry(g.field, g.rank + 1), out).sorted()
 
@@ -71,7 +73,10 @@ def affine_steiner(k: int, ell: int, q: int) -> FlatFamily:
     """Affine Steiner system S(2, k+1, k*ell + 1) from a spread."""
     if k < 1 or ell < 1:
         raise ConstructError("need k >= 1 and ell >= 1")
-    return translate_closure(desarguesian_spread(k * ell, k, q))
+    n = k * ell  # the spread's (q^n - 1)/(q^k - 1) blocks, q^(n-k) cosets each
+    field_of_order(q)  # a prime power, so q^k - 1 > 0
+    flatspace.check_guard((q ** n - 1) // (q ** k - 1) * q ** (n - k), "blocks")
+    return translate_closure(desarguesian_spread(n, k, q))
 
 
 def affine_poly_code(q: int, m: int, ell: int, t: int,
@@ -90,6 +95,7 @@ def affine_poly_code(q: int, m: int, ell: int, t: int,
         raise ConstructError(f"need t-1 <= ell <= m, got ell={ell}, m={m}, t={t}")
     F = field_of_order(q)
     L = field_new(F.p, F.e * m)
+    flatspace.check_guard(L.order ** t, "blocks")
     emb = embed(F, L)
     if U is None:
         rows = [tuple(1 if j == i else 0 for j in range(m)) for i in range(ell)]

@@ -112,39 +112,46 @@ class VerifyResult:
 
 # --- subflat enumeration ------------------------------------------------------
 
-def _affine_subflats(block: AffineFlat, t: int):
-    """All rank-t flats contained in an affine block."""
+def subflat_shapes(g: GeometrySpec, k: int, t: int):
+    """The per-level part of subflats() for rank-k blocks, computed once:
+    (S, cs) for each subspace S in block coordinates (dim t in PG, t-1 in
+    AG) and, in AG, the coset coefficient tuples cs, zero on S's pivots."""
+    K = g.field
+    if g.kind == "projective":
+        return [(S, ()) for S in flatspace.enumerate_subspaces(K, k, t)]
     if t == 0:
-        return [AffineFlat.empty(block.spec, block.d)]
-    K = block.spec
-    kk = block.dir.dim  # block rank - 1
+        return []
+    lex = K.encodings_lex()
+    return [(S, list(itertools.product(*((0,) if j in S.pivots else lex
+                                         for j in range(k - 1)))))
+            for S in flatspace.enumerate_subspaces(K, k - 1, t - 1)]
+
+
+def subflats(block, t: int, g: GeometrySpec, shapes=None):
+    """All rank-t flats in block; shapes is subflat_shapes(g, k, t).  A coset
+    rep + c*dir is canonical as rep is zero on dir's pivots and c on S's."""
+    if shapes is None:
+        shapes = subflat_shapes(g, flat_rank(block, g), t)
+    if g.kind == "projective":
+        return [_lift(S, block) for S, _ in shapes]
+    K, d, rows = block.spec, block.d, block.dir.rows
+    if t == 0:
+        return [AffineFlat.empty(K, d)]
     out = []
-    pts = block.points()
-    for sub in flatspace.enumerate_subspaces(K, kk, t - 1):
-        T = LinearSubspace.from_rows(K, block.d, _lift(sub, block.dir))
-        reps = {flatspace.reduce_vector(K, T.rows, T.pivots, p) for p in pts}
-        for rep in sorted(reps):
-            out.append(AffineFlat(K, block.d, rep, T))
+    for S, cs in shapes:
+        T = _lift(S, block.dir)
+        out += [AffineFlat(K, d, rep, T)
+                for rep in sorted(combine(K, block.rep, c, rows) for c in cs)]
     return out
 
 
-def _projective_subflats(block: LinearSubspace, t: int):
-    """All rank-t subspaces of a projective block."""
-    K = block.spec
-    return [LinearSubspace.from_rows(K, block.d, _lift(sub, block))
-            for sub in flatspace.enumerate_subspaces(K, block.dim, t)]
-
-
-def _lift(sub: LinearSubspace, basis: LinearSubspace):
-    """Rows of a subspace given in coordinates over basis.rows, in F_q^d."""
+def _lift(S: LinearSubspace, basis: LinearSubspace) -> LinearSubspace:
+    """S, in coordinates over basis.rows, in F_q^d.  Both are RREF, so the
+    lifted rows are too, with pivots basis.pivots[i] for S's pivots i."""
     zero = (0,) * basis.d
-    return [combine(basis.spec, zero, row, basis.rows) for row in sub.rows]
-
-
-def subflats(block, t: int, g: GeometrySpec):
-    if g.kind == "affine":
-        return _affine_subflats(block, t)
-    return _projective_subflats(block, t)
+    rows = tuple(combine(basis.spec, zero, row, basis.rows) for row in S.rows)
+    return LinearSubspace(basis.spec, basis.d, rows,
+                          tuple(basis.pivots[i] for i in S.pivots))
 
 
 # --- verification -------------------------------------------------------------
@@ -158,8 +165,9 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     if not 0 <= t <= k:
         raise DesignError(f"t={t} is outside [0, block rank {k}]")
     tally = Counter()
+    shapes = subflat_shapes(g, k, t)
     for b in fam.blocks:
-        tally.update(subflats(b, t, g))
+        tally.update(subflats(b, t, g, shapes))
     return _judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
 
 

@@ -31,6 +31,13 @@ class GuardExceeded(GeometryError):
     """Requested enumeration is larger than the documented guard."""
 
 
+def check_guard(n: int, what: str = "flats"):
+    """Raise GuardExceeded when n items exceed ENUMERATION_GUARD."""
+    if n > ENUMERATION_GUARD:  # str() refuses ints of more than 4300 digits
+        size = n if n.bit_length() <= 4096 else f"more than 2^{n.bit_length() - 1}"
+        raise GuardExceeded(f"{size} {what} exceed the guard of {ENUMERATION_GUARD}")
+
+
 # --- raw row operations (tuples of encodings) ------------------------------
 
 def vec_add(K: FieldSpec, u, v):
@@ -43,6 +50,7 @@ def vec_sub(K: FieldSpec, u, v):
 
 def rref_rows(K: FieldSpec, rows, d):
     """Reduced row echelon form; returns (rows, pivots) as tuples."""
+    add, mul, neg = K._add, K._mul, K._neg
     work = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -53,12 +61,13 @@ def rref_rows(K: FieldSpec, rows, d):
         work[r], work[piv] = work[piv], work[r]
         lead = work[r][col]
         if lead != 1:
-            il = K.inv(lead)
-            work[r] = [K.mul(il, x) for x in work[r]]
+            ml = mul[K.inv(lead)]
+            work[r] = [ml[x] for x in work[r]]
+        top = work[r]
         for i in range(len(work)):
             if i != r and work[i][col]:
-                c = work[i][col]
-                work[i] = [K.sub(x, K.mul(c, y)) for x, y in zip(work[i], work[r])]
+                mc = mul[neg[work[i][col]]]
+                work[i] = [add[x][mc[y]] for x, y in zip(work[i], top)]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -68,12 +77,13 @@ def rref_rows(K: FieldSpec, rows, d):
 
 def reduce_vector(K: FieldSpec, rows, pivots, v):
     """Reduce v modulo the RREF rows; result is zero iff v is in the row space."""
-    v = list(v)
+    add, mul, neg = K._add, K._mul, K._neg
+    v = tuple(v)
     for row, c in zip(rows, pivots):
         if v[c]:
-            coef = v[c]
-            v = [K.sub(x, K.mul(coef, y)) for x, y in zip(v, row)]
-    return tuple(v)
+            mc = mul[neg[v[c]]]
+            v = tuple([add[x][mc[y]] for x, y in zip(v, row)])
+    return v
 
 
 def solve_combination(K: FieldSpec, gens, target, d):
@@ -99,7 +109,7 @@ def combine(K: FieldSpec, start, coeffs, rows):
     for c, row in zip(coeffs, rows):
         if c:
             mc = mul[c]
-            v = tuple(add[a][mc[b]] for a, b in zip(v, row))
+            v = tuple([add[a][mc[b]] for a, b in zip(v, row)])
     return v
 
 
@@ -228,8 +238,9 @@ class AffineFlat:
         """All q^(rank-1) points of the coset."""
         if self.is_empty:
             return []
-        K = self.spec
-        return [vec_add(K, self.rep, v) for v in self.dir.vectors()]
+        K, rows = self.spec, self.dir.rows
+        return [combine(K, self.rep, coeffs, rows)
+                for coeffs in itertools.product(K.encodings_lex(), repeat=len(rows))]
 
     def sort_key(self):
         if self.is_empty:
@@ -422,9 +433,7 @@ def enumerate_subspaces(spec: FieldSpec, d: int, k: int):
 
 def enumerate_flats(g: GeometrySpec, r: int):
     """All rank-r flats of the geometry, each once, deterministic order."""
-    n = count_flats(g, r)
-    if n > ENUMERATION_GUARD:
-        raise GuardExceeded(f"{n} flats exceed the guard of {ENUMERATION_GUARD}")
+    check_guard(count_flats(g, r))
     K = g.field
     d = g.ambient_dim
     if g.kind == "projective":

@@ -19,7 +19,9 @@ products per candidate instead of the q^2 of a direct fill.  Then
 a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)].  Addition is
 XOR for p = 2; for odd p its rows are built digit by digit from the F_p
 table.  The modulus fixes every product, so the tables, and so every
-block file, do not depend on how they are computed.
+block file, do not depend on how they are computed.  The digit strings
+of all q elements and their inverse map are tables too, so writing and
+reading a block file costs one lookup per coordinate.
 """
 
 from __future__ import annotations
@@ -123,6 +125,9 @@ class FieldSpec:
         self.modulus = modulus
         self._coeffs = [tuple((v // p ** i) % p for i in range(e)) for v in range(q)]
         self._lex = tuple(sorted(range(q), key=self._coeffs.__getitem__))
+        self._digits = [("" if p <= 10 else ",").join(map(str, cs)) for cs in self._coeffs]
+        self._by_digits = {s: v for v, s in enumerate(self._digits)}
+        self._hash = hash((p, e, modulus))
         self._build_tables()
 
     def _build_tables(self):
@@ -206,13 +211,13 @@ class FieldSpec:
 
     def digits(self, val: int) -> str:
         """Serialize an element: e base-p digits, constant first."""
-        cs = self.decode(val)
-        if self.p <= 10:
-            return "".join(str(c) for c in cs)
-        return ",".join(str(c) for c in cs)
+        return self._digits[val]
 
     def parse_digits(self, s: str) -> int:
-        try:
+        v = self._by_digits.get(s)
+        if v is not None:
+            return v
+        try:  # other spellings int() accepts, such as "+1,03" or "1_0,3"
             cs = tuple(int(tok) for tok in (s if self.p <= 10 else s.split(",")))
         except ValueError:
             cs = ()
@@ -225,7 +230,7 @@ class FieldSpec:
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.e, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, e={self.e})"

@@ -48,11 +48,12 @@ class SplitMix64:
         True differs from a/n by at most n/2^64.  The seeded stream is
         kept as it is rather than switched to rejection sampling.
         """
-        if prob <= 0:
+        a, n = prob.numerator, prob.denominator  # n > 0
+        if a <= 0:
             return False
-        if prob >= 1:
+        if a >= n:
             return True
-        return self.below(prob.denominator) < prob.numerator
+        return self.below(n) < a
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:

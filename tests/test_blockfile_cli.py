@@ -180,6 +180,23 @@ def test_cli_guard_exit(capsys, tmp_path):
                  "--n", "13", "--k", "6", "--out", str(tmp_path / "big")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["poly-code", "--q", "2", "--m", "9", "--l", "2", "--t", "3"],  # 512^3 blocks
+    ["affine-steiner", "--q", "2", "--k", "2", "--l", "12"],
+    ["spread", "--q", "2", "--n", "25", "--k", "1"],
+    ["spread", "--q", "2", "--n", "20000", "--k", "1"],  # a 6021-digit count
+    ["complete", "--q", "2", "--kind", "affine", "--n", "20000", "--k", "2"],
+], ids=["poly-code", "affine-steiner", "spread", "spread-huge", "complete-huge"])
+def test_cli_construction_guard_exit(tmp_path, capsys, argv):
+    """The closed-form block count is checked before any block is built."""
+    capsys.readouterr()
+    out = tmp_path / "big.blocks"
+    assert main(["construct", *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exceed the guard" in err and not out.exists()
+
+
 # SHA-256 of the block files written by `construct`, recorded before the
 # row kernel, coset enumerator and tally were merged; outputs must not move.
 CONSTRUCT_DIGESTS = [

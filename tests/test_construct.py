@@ -1,9 +1,10 @@
 import pytest
 
-from affgeo import (AffineFlat, ConstructError, LinearSubspace,
-                    affine_poly_code, affine_steiner, desarguesian_spread,
-                    field_new, is_skew, lin_meet, max_pairwise_meet_rank,
-                    parallel_classes, through_zero, translate_closure,
+from affgeo import (AffineFlat, ConstructError, FlatFamily, GuardExceeded,
+                    LinearSubspace, affine_poly_code, affine_steiner,
+                    desarguesian_spread, field_new, is_skew, lin_meet,
+                    max_pairwise_meet_rank, parallel_classes,
+                    projective_geometry, through_zero, translate_closure,
                     verify_design)
 
 F2 = field_new(2)
@@ -113,3 +114,10 @@ def test_poly_code_param_validation():
         affine_poly_code(2, 3, 1, 3)  # ell < t - 1
     with pytest.raises(ConstructError):
         affine_poly_code(2, 3, 2, 0)
+
+
+def test_translate_closure_guard_before_building():
+    g = projective_geometry(F2, 30)
+    line = LinearSubspace.from_rows(F2, 30, [(1,) + (0,) * 29])
+    with pytest.raises(GuardExceeded):  # 2^29 cosets of one line
+        translate_closure(FlatFamily(g, (line,)))

@@ -8,7 +8,7 @@ from affgeo import (ClassicalDesign, DesignError, DesignParams, FlatFamily,
                     expand_subspace_design, field_new, geometry_pmd_type,
                     is_skew, lambda_s, parallel_classes, projective_geometry,
                     verify_classical, verify_design)
-from affgeo.flatspace import enumerate_flats
+from affgeo.flatspace import AffineFlat, enumerate_flats
 
 F2 = field_new(2)
 
@@ -154,3 +154,55 @@ def test_verify_classical_uneven_witness_has_least_count():
     res = verify_classical(uneven, 1)
     assert not res.ok and res.counts == (4, 5)
     assert sum(res.witness[0] in b for b in uneven.blocks) == 4
+
+
+# --- differential oracle: a direct (rank-t flat x block) containment count ------
+
+def point_set(f):
+    """The vectors of a flat; F lies in B exactly when its set is a subset of B's."""
+    return frozenset(f.points() if isinstance(f, AffineFlat) else f.vectors())
+
+
+def oracle_counts(fam, t):
+    """Every rank-t flat, in enumeration order, and how many blocks contain it."""
+    flats = enumerate_flats(fam.geometry, t)
+    blocks = [point_set(b) for b in fam.blocks]
+    sets = {f: point_set(f) for f in flats}
+    return flats, {f: sum(sets[f] <= b for b in blocks) for f in flats}
+
+
+def _oracle_families():
+    F3 = field_new(3)
+    fams = {"AG(3,2)": complete_design(affine_geometry(F2, 4), 3),      # planes
+            "PG(3,2)": complete_design(projective_geometry(F2, 4), 2),  # lines
+            "AG(2,3)": complete_design(affine_geometry(F3, 3), 2),      # lines
+            "S(2,3,7)": affine_steiner(2, 3, 2)}
+    for name, fam in list(fams.items()):
+        mid = len(fam.blocks) // 2
+        fams[name + "-drop"] = FlatFamily(fam.geometry,
+                                          fam.blocks[:mid] + fam.blocks[mid + 1:])
+    return fams
+
+
+ORACLE_FAMILIES = _oracle_families()
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_verify_design_matches_containment_count(name, t):
+    fam = ORACLE_FAMILIES[name]
+    flats, count = oracle_counts(fam, t)
+    lo, hi = min(count.values()), max(count.values())
+    res = verify_design(fam, t)
+    if lo == hi:
+        assert res.ok and res.lam == lo and res.witness is None and res.counts == ()
+        return
+    assert not res.ok and res.lam is None
+    assert res.counts == (lo, hi)
+    if lo == 0:  # the first uncovered flat in enumeration order
+        assert res.witness == next(f for f in flats if count[f] == 0)
+    else:  # a least-covered flat, first met in block order
+        assert count[res.witness] == lo
+        first = next(b for b in map(point_set, fam.blocks)
+                     if any(count[f] == lo and point_set(f) <= b for f in flats))
+        assert point_set(res.witness) <= first

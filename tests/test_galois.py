@@ -225,3 +225,29 @@ def test_tables_match_polynomial_oracle_sampled(p, e):
     assert all(mul(a, K.inv(a)) == 1 for a in range(1, q))
     assert K.encodings_lex() == tuple(sorted(range(q), key=lambda v: tuple(
         (v // p ** i) % p for i in range(e))))
+
+
+# --- digit tables: same strings and same accepted spellings as the parser ------
+
+@pytest.mark.parametrize("p,e", ORACLE_FIELDS + [(19, 2), (2, 9)])
+def test_digit_tables_match_formula(p, e):
+    K = field_new(p, e)
+    sep = "" if p <= 10 else ","
+    for v in range(K.order):
+        s = sep.join(str(c) for c in K.decode(v))
+        assert K.digits(v) == s
+        assert K.parse_digits(s) == v
+
+
+def test_parse_digits_other_spellings():
+    F361, F5 = field_new(19, 2), field_new(5)
+    assert F361.parse_digits("+1,03") == F361.encode((1, 3))
+    assert F361.parse_digits("1_0,3") == F361.encode((10, 3))
+    assert F361.parse_digits("٣,1") == F361.encode((3, 1))  # Arabic-Indic 3
+    assert F5.parse_digits("٣") == 3
+    for bad in ("+", "19,0", "", ",1", "1,", "1,2,3"):
+        with pytest.raises(FieldError):
+            F361.parse_digits(bad)
+    for bad in ("+", "5", ""):
+        with pytest.raises(FieldError):
+            F5.parse_digits(bad)
