@@ -15,10 +15,14 @@ constant coefficient first (comma-joined digits when p > 10).  Blocks
 are sorted by canonical form, so parse(render(x)) == x and files diff
 cleanly.  render(parse(text)) == text holds for canonical text only:
 parse also accepts blocks out of order and dir rows not in RREF, which
-render then writes in canonical form.
+render then writes in canonical form.  Within one call, each distinct
+coordinate line is read, each distinct vector spelled and each distinct
+dir row set canonicalised once, so parallel blocks share one subspace.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .design import FlatFamily, ClassicalDesign
 from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
@@ -30,10 +34,6 @@ MAGIC = "affgeo v1"
 
 class ParseError(ValueError):
     pass
-
-
-def _render_vec(K, v) -> str:
-    return " ".join(map(K.digits, v))
 
 
 def _parse_vec(K, tokens) -> tuple:
@@ -54,15 +54,16 @@ def render(fam: FlatFamily) -> str:
     lines = [MAGIC,
              f"field p={K.p} e={K.e} modulus={_render_modulus(K)}",
              f"space kind={g.kind} rank={g.rank}"]
+    spell = functools.cache(lambda v: " ".join(map(K.digits, v)))  # for this call
     for b in sorted(fam.blocks, key=lambda x: x.sort_key()):
         lines.append("block")
         if g.kind == "affine":
-            lines.append("rep " + _render_vec(K, b.rep))
+            lines.append("rep " + spell(b.rep))
             rows = b.dir.rows
         else:
             rows = b.rows
         for row in rows:
-            lines.append("dir " + _render_vec(K, row))
+            lines.append("dir " + spell(row))
     return "\n".join(lines) + "\n"
 
 
@@ -96,6 +97,8 @@ def parse(text: str) -> FlatFamily:
     rep = None
     rows = []
     in_block = False
+    vec = functools.cache(lambda ln: _parse_vec(K, ln.split()[1:]))  # for this call
+    span = functools.cache(lambda rows: LinearSubspace.from_rows(K, d, rows))
 
     def flush():
         if not in_block:
@@ -104,10 +107,9 @@ def parse(text: str) -> FlatFamily:
             if kind == "affine":
                 if rep is None:
                     raise ParseError("affine block without rep line")
-                sub = LinearSubspace.from_rows(K, d, rows)
-                blocks.append(AffineFlat.coset(rep, sub))
+                blocks.append(AffineFlat.coset(rep, span(tuple(rows))))
             else:
-                blocks.append(LinearSubspace.from_rows(K, d, rows))
+                blocks.append(span(tuple(rows)))
         except ParseError:
             raise
         except Exception as exc:
@@ -121,13 +123,13 @@ def parse(text: str) -> FlatFamily:
         elif parts[0] == "rep":
             if not in_block or kind != "affine":
                 raise ParseError("unexpected rep line")
-            rep = _parse_vec(K, parts[1:])
+            rep = vec(ln)
             if len(rep) != d:
                 raise ParseError(f"rep has {len(rep)} coordinates, expected {d}")
         elif parts[0] == "dir":
             if not in_block:
                 raise ParseError("dir line outside a block")
-            row = _parse_vec(K, parts[1:])
+            row = vec(ln)
             if len(row) != d:
                 raise ParseError(f"dir has {len(row)} coordinates, expected {d}")
             rows.append(row)

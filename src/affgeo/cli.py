@@ -115,8 +115,9 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     fam = _load_family_with_header(args.infile)
     if fam.geometry.kind == "affine":
-        print(f"parallel_classes={design.parallel_classes(fam)}")
-        print(f"skew={'true' if design.is_skew(fam) else 'false'}")
+        classes = design.parallel_classes(fam)
+        print(f"parallel_classes={classes}")
+        print(f"skew={'true' if classes == len(fam) else 'false'}")
     m = codes.max_pairwise_meet_rank(fam)
     print(f"max_meet_rank={m}")
     print(f"radius={fam.block_rank - m - 1}")

@@ -12,14 +12,26 @@ number of rank-(m+1) subflats of the blocks, against b^2 pairwise meets.
 
 from __future__ import annotations
 
-import math
+import functools
 
 from . import design, flatspace
 from .design import FlatFamily
 from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
                         LinearSubspace, aff_meet, lin_meet)
 
-INFINITY = math.inf
+
+@functools.total_ordering
+class _Infinity:
+    """Exact +infinity for discrepancies: above every number, equal only to itself."""
+
+    def __gt__(self, other):
+        return other is not self
+
+    def __repr__(self):
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 
 class DecodeError(Exception):

@@ -54,8 +54,9 @@ def translate_closure(B: FlatFamily) -> FlatFamily:
     if g.kind != "projective":
         raise ConstructError("translate_closure expects linear (projective) blocks")
     flatspace.check_guard(sum(g.q ** (g.rank - U.dim) for U in B.blocks), "blocks")
-    out = tuple(f for U in B.blocks for f in flatspace.cosets(U))
-    return FlatFamily(affine_geometry(g.field, g.rank + 1), out).sorted()
+    out = sorted((f for U in B.blocks for f in flatspace.cosets(U)),
+                 key=lambda f: f.sort_key())  # one FlatFamily check, not two
+    return FlatFamily(affine_geometry(g.field, g.rank + 1), tuple(out))
 
 
 def through_zero(D: FlatFamily) -> FlatFamily:

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 from . import flatspace
@@ -51,10 +51,16 @@ class FlatFamily:
 
     @cached_property
     def point_blocks(self) -> dict:
-        """Point -> blocks through it (affine families), built on first use."""
-        index = {}
+        """Point -> blocks through it (affine families), built on first use.
+        Each direction's vectors are listed once; a block's points are its
+        rep plus each of them, in the order of points()."""
+        index, offsets = {}, cache(LinearSubspace.vectors)
         for b in self.blocks:
-            for p in b.points():
+            if b.is_empty:
+                continue
+            add = b.spec._add
+            for v in offsets(b.dir):
+                p = tuple([add[x][y] for x, y in zip(b.rep, v)])
                 index.setdefault(p, []).append(b)
         return index
 
@@ -112,19 +118,29 @@ class VerifyResult:
 
 # --- subflat enumeration ------------------------------------------------------
 
-def subflat_shapes(g: GeometrySpec, k: int, t: int):
+class SubflatShapes(list):
+    """The (S, cs) pairs of subflat_shapes(); lift(D) lifts every S into the
+    block direction D, once per D, for all the blocks parallel to D."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.lift = cache(lambda D: [_lift(S, D) for S, _ in self])
+
+
+def subflat_shapes(g: GeometrySpec, k: int, t: int) -> SubflatShapes:
     """The per-level part of subflats() for rank-k blocks, computed once:
     (S, cs) for each subspace S in block coordinates (dim t in PG, t-1 in
     AG) and, in AG, the coset coefficient tuples cs, zero on S's pivots."""
     K = g.field
     if g.kind == "projective":
-        return [(S, ()) for S in flatspace.enumerate_subspaces(K, k, t)]
+        return SubflatShapes((S, ()) for S in flatspace.enumerate_subspaces(K, k, t))
     if t == 0:
-        return []
+        return SubflatShapes(())
     lex = K.encodings_lex()
-    return [(S, list(itertools.product(*((0,) if j in S.pivots else lex
-                                         for j in range(k - 1)))))
-            for S in flatspace.enumerate_subspaces(K, k - 1, t - 1)]
+    return SubflatShapes(
+        (S, list(itertools.product(*((0,) if j in S.pivots else lex
+                                     for j in range(k - 1)))))
+        for S in flatspace.enumerate_subspaces(K, k - 1, t - 1))
 
 
 def subflats(block, t: int, g: GeometrySpec, shapes=None):
@@ -134,14 +150,13 @@ def subflats(block, t: int, g: GeometrySpec, shapes=None):
         shapes = subflat_shapes(g, flat_rank(block, g), t)
     if g.kind == "projective":
         return [_lift(S, block) for S, _ in shapes]
-    K, d, rows = block.spec, block.d, block.dir.rows
+    K, d, D = block.spec, block.d, block.dir
     if t == 0:
         return [AffineFlat.empty(K, d)]
     out = []
-    for S, cs in shapes:
-        T = _lift(S, block.dir)
+    for T, (_, cs) in zip(shapes.lift(D), shapes):
         out += [AffineFlat(K, d, rep, T)
-                for rep in sorted(combine(K, block.rep, c, rows) for c in cs)]
+                for rep in sorted(combine(K, block.rep, c, D.rows) for c in cs)]
     return out
 
 

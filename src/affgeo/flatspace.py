@@ -131,9 +131,6 @@ class VectorFq:
     def d(self) -> int:
         return len(self.coords)
 
-    def elems(self):
-        return tuple(FieldElem(self.spec, c) for c in self.coords)
-
     def __repr__(self):
         return f"VectorFq({' '.join(self.spec.digits(c) for c in self.coords)})"
 

@@ -225,13 +225,9 @@ class FlatsLattice:
     def __init__(self, m: MatroidOracle):
         self.matroid = m
         self.flats = flats(m)
-        self._set = set(self.flats)
 
     def __len__(self):
         return len(self.flats)
-
-    def is_flat(self, E) -> bool:
-        return frozenset(E) in self._set
 
     def meet(self, E, F) -> frozenset:
         return frozenset(E) & frozenset(F)

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from affgeo import (affine_steiner, codes, complete_design,
 from affgeo.blockfile import (ParseError, parse, parse_classical, render,
                               render_classical)
 from affgeo.cli import main
+from affgeo.flatspace import vec_add
 
 
 def test_blockfile_roundtrip_affine():
@@ -46,6 +48,33 @@ def test_blockfile_rejects_garbage():
         parse(good.replace("modulus=01", "modulus=11"))
     with pytest.raises(ParseError):
         parse(good + "wat 0 0 0 0\n")
+
+
+@pytest.mark.parametrize("make", [lambda: affine_steiner(2, 3, 2),
+                                  lambda: affine_steiner(2, 2, 3)],
+                         ids=["S(2,3,7)", "q3-steiner"])
+def test_blockfile_noncanonical_text_parses_to_canonical(make):
+    """Shuffled blocks, other bases and other reps read as the same family."""
+    fam = make()
+    K = fam.geometry.field
+    canon = render(fam)
+
+    def spell(v):
+        return " ".join(map(K.digits, v))
+
+    blocks = list(fam.blocks)
+    random.Random(3).shuffle(blocks)
+    lines = canon.splitlines()[:3]
+    for b in blocks:
+        r0, r1 = b.dir.rows  # another basis: swap the rows, add one to the other
+        rows = [vec_add(K, r1, r0), r0]
+        # the same raw dir text for every block parallel to b, each rep moved
+        lines += ["block", "rep " + spell(vec_add(K, b.rep, r1))]
+        lines += ["dir " + spell(r) for r in rows]
+    text = "\n".join(lines) + "\n"
+    assert text != canon
+    assert parse(text).sorted() == parse(canon)  # parse keeps the file's order
+    assert render(parse(text)) == canon
 
 
 def test_classical_roundtrip():

@@ -61,6 +61,13 @@ def test_deletion_discrepancy():
     assert deletion_discrepancy(line, out) == INFINITY
 
 
+def test_infinity_is_exact():
+    """No float enters the tau decision; the sentinel still tops every int."""
+    assert not isinstance(INFINITY, float)
+    assert all(n < INFINITY and not INFINITY <= n for n in (0, 7, 10 ** 400))
+    assert max(3, INFINITY) is INFINITY and not INFINITY < INFINITY
+
+
 def test_tau_matches_bruteforce_on_ag22():
     g = affine_geometry(F2, 3)
     lines = enumerate_flats(g, 2)

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from affgeo import (ClassicalDesign, DesignError, DesignParams, FlatFamily,
-                    affine_geometry, affine_steiner, complete_design,
+                    affine_geometry, affine_poly_code, affine_steiner,
+                    complete_design,
                     ev11_compose, expand_affine_design,
                     expand_subspace_design, field_new, geometry_pmd_type,
                     is_skew, lambda_s, parallel_classes, projective_geometry,
@@ -206,3 +207,19 @@ def test_verify_design_matches_containment_count(name, t):
         first = next(b for b in map(point_set, fam.blocks)
                      if any(count[f] == lo and point_set(f) <= b for f in flats))
         assert point_set(res.witness) <= first
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_steiner(2, 3, 2),
+    lambda: affine_poly_code(3, 2, 2, 2),
+    lambda: complete_design(affine_geometry(field_new(2, 2), 4), 2),
+], ids=["S(2,3,7)", "poly-q3", "lines-AG(3,4)"])
+def test_point_blocks_matches_points(make):
+    """The shared-offset index equals one built from each block's points()."""
+    fam = make()
+    oracle = {}
+    for b in fam.blocks:
+        for p in b.points():
+            oracle.setdefault(p, []).append(b)
+    assert fam.point_blocks == oracle
+    assert list(fam.point_blocks) == list(oracle)  # same first-seen order
