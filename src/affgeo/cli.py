@@ -7,6 +7,8 @@ key=value text with exact numbers (rationals as "p/q").
 AFFGEO_THREADS is accepted for compatibility with parallel runners; the
 library is pure and single-process, so it caps a worker count that is
 currently always one.
+
+Each subcommand imports only the library layers it runs.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
-
-from . import blockfile, codes, construct, design, flatspace, netsim
-from .design import FlatFamily
-from .flatspace import GuardExceeded
-from .galois import FieldError, field_of_order
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -41,7 +37,8 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _load_family(path: str) -> FlatFamily:
+def _load_family(path: str):
+    from . import blockfile
     try:
         return blockfile.parse(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -50,8 +47,9 @@ def _load_family(path: str) -> FlatFamily:
         raise CliError(EXIT_PARSE, f"parse error in {path}: {exc}") from exc
 
 
-def _load_family_with_header(path: str) -> FlatFamily:
+def _load_family_with_header(path: str):
     """Load a family and print the kind/n/k/blocks lines of a report."""
+    from . import design
     fam = _load_family(path)
     try:
         k = fam.block_rank
@@ -64,7 +62,9 @@ def _load_family_with_header(path: str) -> FlatFamily:
     return fam
 
 
-def _construct_family(args) -> FlatFamily:
+def _construct_family(args):
+    from . import construct, design, flatspace
+    from .galois import FieldError, field_of_order
     try:
         if args.construction == "spread":
             return construct.desarguesian_spread(args.n, args.k, args.q)
@@ -79,7 +79,7 @@ def _construct_family(args) -> FlatFamily:
             field = field_of_order(args.q)
             g = flatspace.GeometrySpec(args.kind, field, args.n)
             return design.complete_design(g, args.k)
-    except GuardExceeded as exc:
+    except flatspace.GuardExceeded as exc:
         raise CliError(EXIT_GUARD, str(exc)) from exc
     except (construct.ConstructError, FieldError, ValueError) as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
@@ -87,6 +87,7 @@ def _construct_family(args) -> FlatFamily:
 
 
 def cmd_construct(args) -> int:
+    from . import blockfile
     fam = _construct_family(args)
     _write_atomic(args.out, blockfile.render(fam))
     print(f"blocks={len(fam)}")
@@ -95,10 +96,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import design, flatspace
     fam = _load_family_with_header(args.infile)
     try:
         result = design.verify_design(fam, args.t)
-    except GuardExceeded as exc:
+    except flatspace.GuardExceeded as exc:
         raise CliError(EXIT_GUARD, str(exc)) from exc
     except design.DesignError as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
@@ -113,6 +115,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import codes, design
     fam = _load_family_with_header(args.infile)
     if fam.geometry.kind == "affine":
         classes = design.parallel_classes(fam)
@@ -125,6 +128,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from . import blockfile, design
     fam = _load_family(args.infile)
     try:
         if args.mode == "subspace":
@@ -148,6 +152,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from fractions import Fraction
+    from . import netsim
     fam = _load_family(args.code)
     try:
         cfg = netsim.NetworkConfig(

@@ -17,12 +17,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import flatspace
 from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace, combine,
                         count_flats, enumerate_flats, flat_rank)
-from .matroid import PmdType
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+    from .matroid import PmdType
 
 
 class DesignError(ValueError):
@@ -207,6 +210,7 @@ def _judge(tally: Counter, total: int, everything) -> VerifyResult:
 
 def lambda_s(p: DesignParams, typ: PmdType, s: int) -> Fraction:
     """Derived index: lambda * prod_{i=s}^{t-1} (f_n - f_i) / (f_k - f_i)."""
+    from fractions import Fraction
     if not 0 <= s <= p.t:
         raise DesignError(f"s={s} out of range [0, {p.t}]")
     f = typ.f

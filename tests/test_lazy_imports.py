@@ -1,0 +1,100 @@
+"""`import affgeo` is lazy and each CLI subcommand loads only its layers,
+while every public name of the package stays what it was."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import affgeo
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The package's exports, module by module, as they were when
+# affgeo/__init__ imported all seven modules eagerly.
+EXPORTS = {
+    "galois": ["FieldElem", "FieldError", "FieldSpec", "elem", "elements",
+               "embed", "field_new", "field_of_order"],
+    "flatspace": ["AffineFlat", "GeometryError", "GeometrySpec",
+                  "GuardExceeded", "LinearSubspace", "VectorFq",
+                  "affine_geometry", "aff_closure", "aff_join", "aff_meet",
+                  "count_flats", "count_points", "enumerate_flats",
+                  "enumerate_points", "enumerate_subspaces", "flat_rank",
+                  "gaussian_binomial", "hyperplane_restriction", "lin_join",
+                  "lin_meet", "normalize_projective_point", "parallel",
+                  "projective_completion", "projective_geometry", "rref"],
+    "matroid": ["MatroidOracle", "NotAPmd", "PmdType", "closure",
+                "exchange_check", "flats_lattice", "free_matroid",
+                "geometrize_type", "geometry_matroid", "geometry_pmd_type",
+                "graphic_matroid", "independent", "lattice_distance",
+                "lattice_distance_prime", "pmd_type", "rank_axioms_check",
+                "vector_matroid"],
+    "design": ["ClassicalDesign", "DesignError", "DesignParams", "FlatFamily",
+               "complete_design", "ev11_compose", "expand_affine_design",
+               "expand_subspace_design", "is_skew", "lambda_s",
+               "parallel_classes", "verify_classical", "verify_design"],
+    "construct": ["ConstructError", "affine_poly_code", "affine_steiner",
+                  "desarguesian_spread", "through_zero", "translate_closure"],
+    "codes": ["Ambiguity", "DecodeError", "Erasure", "correction_radius",
+              "d_wedge", "decode", "deletion_discrepancy",
+              "is_partial_steiner", "max_pairwise_meet_rank",
+              "metric_violation_witness", "subspace_distance", "tau",
+              "tau_bruteforce"],
+    "netsim": ["NetworkConfig", "SplitMix64", "TrialStats", "propagate",
+               "random_affine_coeffs", "run_trials", "trial_rng"],
+}
+
+# Runs `affgeo.cli.main(argv)` if argv is given, then prints the loaded
+# affgeo modules as a JSON list on the last line of stdout.
+PROBE = """
+import json, sys
+import affgeo.cli
+if sys.argv[1:] and affgeo.cli.main(sys.argv[1:]) != 0:
+    sys.exit("command failed")
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "affgeo")))
+"""
+
+
+def _loaded_after(*argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("AFFGEO_THREADS", None)
+    out = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return {m.removeprefix("affgeo.") for m in json.loads(out.splitlines()[-1])}
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    assert _loaded_after(cwd=tmp_path) == {"affgeo", "cli"}
+    built = _loaded_after("construct", "affine-steiner", "--q", "2", "--k", "1",
+                          "--l", "2", "--out", "s.blocks", cwd=tmp_path)
+    assert {"construct", "blockfile"} <= built
+    assert not built & {"matroid", "codes", "netsim"}
+    verified = _loaded_after("verify", "s.blocks", "--t", "2", cwd=tmp_path)
+    assert "design" in verified
+    assert not verified & {"matroid", "codes", "netsim", "construct"}
+    analyzed = _loaded_after("analyze", "s.blocks", cwd=tmp_path)
+    assert "codes" in analyzed
+    assert not analyzed & {"matroid", "netsim", "construct"}
+    simulated = _loaded_after("simulate", "s.blocks", "--trials", "2",
+                              "--forced-deletions", "1", cwd=tmp_path)
+    assert "netsim" in simulated
+    assert not simulated & {"matroid", "construct"}
+
+
+def test_public_api_unchanged():
+    expected = [name for names in EXPORTS.values() for name in names]
+    assert affgeo.__all__ == expected
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"affgeo.{module}")
+        for name in names:
+            assert getattr(affgeo, name) is getattr(mod, name), name
+    assert set(expected) <= set(dir(affgeo))
+    with pytest.raises(AttributeError):
+        affgeo.no_such_name
+    from affgeo import blockfile, cli, codes
+    assert (blockfile.__name__, cli.__name__, codes.__name__) == (
+        "affgeo.blockfile", "affgeo.cli", "affgeo.codes")
