@@ -3,11 +3,12 @@
 subspace_distance is the projective (Grassmannian) metric; d_wedge is
 its affine analog via meets, which fails the triangle inequality --
 metric_violation_witness produces the standard two-parallel-planes
-configuration.  The decoder is containment-based: a received subflat of
-rank >= t identifies its block uniquely in a partial S(t, k, n).  The
-largest pairwise meet rank m, which fixes the correction radius
-k - m - 1, comes from a collision tally of subflats whose cost is the
-number of rank-(m+1) subflats of the blocks, against b^2 pairwise meets.
+configuration.  The decoder is point-index intersection, then
+containment: a received subflat of rank >= t identifies its block
+uniquely in a partial S(t, k, n).  The largest pairwise meet rank m,
+which fixes the correction radius k - m - 1, comes from a collision
+tally of subflats whose cost is the number of rank-(m+1) subflats of
+the blocks, against b^2 pairwise meets.
 """
 
 from __future__ import annotations
@@ -149,6 +150,12 @@ def correction_radius(fam: FlatFamily) -> int:
 def decode(fam: FlatFamily, received):
     """The unique block containing the received flat.
 
+    Point-index intersection, then containment: the blocks through the
+    received flat's rep are kept only while they are also listed under
+    each further point rep + row, until at most one is left; the exact
+    contains() then runs on the survivors.  A point's index entry is
+    already exact.  Candidates keep the order of fam.blocks.
+
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
     """
@@ -159,11 +166,19 @@ def decode(fam: FlatFamily, received):
     rank = flatspace.flat_rank(received, g)
     if rank < 1:
         raise GeometryError("received flat must have rank >= 1")
-    if affine and g.q ** g.ambient_dim <= 1 << 20:
-        pool = fam.point_blocks.get(received.rep, ())
+    if not affine or g.q ** g.ambient_dim > 1 << 20:
+        hits = [b for b in fam.blocks if b.contains(received)]
+    elif rank == 1:
+        hits = fam.point_blocks.get(received.rep, ())
     else:
-        pool = fam.blocks
-    hits = [b for b in pool if b.contains(received)]
+        index, rep = fam.point_blocks, received.rep
+        pool = index.get(rep, ())
+        for row in received.dir.rows:
+            if len(pool) <= 1:
+                break
+            on = set(map(id, index.get(flatspace.vec_add(g.field, rep, row), ())))
+            pool = [b for b in pool if id(b) in on]
+        hits = [b for b in pool if b.contains(received)]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

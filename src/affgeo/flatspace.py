@@ -41,11 +41,13 @@ def check_guard(n: int, what: str = "flats"):
 # --- raw row operations (tuples of encodings) ------------------------------
 
 def vec_add(K: FieldSpec, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
+    add = K._add
+    return tuple([add[a][b] for a, b in zip(u, v)])
 
 
 def vec_sub(K: FieldSpec, u, v):
-    return tuple(K.sub(a, b) for a, b in zip(u, v))
+    add, neg = K._add, K._neg
+    return tuple([add[a][neg[b]] for a, b in zip(u, v)])
 
 
 def rref_rows(K: FieldSpec, rows, d):

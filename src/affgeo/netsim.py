@@ -32,14 +32,14 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + _GAMMA) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return self.below(_MASK + 1)
 
     def below(self, n: int) -> int:
-        return self.next_u64() % n
+        """next_u64() % n for n >= 1; the one copy of the SplitMix64 step."""
+        self.state = z = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (z ^ (z >> 31)) % n
 
     def chance(self, prob: Fraction) -> bool:
         """Bernoulli draw with rational probability prob = a/n.
@@ -49,11 +49,7 @@ class SplitMix64:
         kept as it is rather than switched to rejection sampling.
         """
         a, n = prob.numerator, prob.denominator  # n > 0
-        if a <= 0:
-            return False
-        if a >= n:
-            return True
-        return self.below(n) < a
+        return a > 0 and (a >= n or self.below(n) < a)
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
@@ -109,11 +105,12 @@ def random_affine_coeffs(rng: SplitMix64, K, s: int):
     """s coefficients summing to 1: first s-1 uniform, last forced."""
     if s < 1:
         raise ValueError("need at least one coefficient")
-    coeffs = [rng.below(K.order) for _ in range(s - 1)]
+    below, q, add = rng.below, K.order, K._add
+    coeffs = [below(q) for _ in range(s - 1)]
     total = 0
     for c in coeffs:
-        total = K.add(total, c)
-    coeffs.append(K.sub(1, total))
+        total = add[total][c]
+    coeffs.append(add[1][K._neg[total]])
     return coeffs
 
 
@@ -127,12 +124,16 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     if not sources:
         raise ValueError("propagate needs at least one source vector")
     prev = list(sources)
+    below = rng.below
+    # gather's drop test is rng.chance(cfg.drop_prob) inlined, with the
+    # fraction read once per call; it draws exactly as chance() does
+    a, n = cfg.drop_prob.numerator, cfg.drop_prob.denominator
 
     def gather(n_edges, pool):
-        got = []
+        got, m = [], len(pool)
         for _ in range(n_edges):
-            v = pool[rng.below(len(pool))]
-            if v is not None and not rng.chance(cfg.drop_prob):
+            v = pool[below(m)]
+            if v is not None and not (a > 0 and (a >= n or below(n) < a)):
                 got.append(v)
         return got
 

@@ -172,3 +172,46 @@ def test_decoded_family_is_not_kept_alive():
     del fam
     gc.collect()
     assert ref() is None
+
+
+DECODE_ORACLE_FAMILIES = {  # family, ranks at which decode is ambiguous
+    "ag32-planes": (lambda: complete_design(AG32, 3), {1, 2}),  # 3 planes per line
+    "s237": (lambda: affine_steiner(2, 3, 2), {1}),
+    "s2-f4": (lambda: affine_steiner(2, 2, 4), {1}),
+}
+
+
+def decode_outcome(decoder, fam, flat):
+    """(returned block, exception type, candidates) of one decode."""
+    try:
+        return decoder(fam, flat), None, ()
+    except (Ambiguity, Erasure) as exc:
+        return None, type(exc), getattr(exc, "candidates", ())
+
+
+@pytest.mark.parametrize("make, ambiguous_ranks", DECODE_ORACLE_FAMILIES.values(),
+                         ids=DECODE_ORACLE_FAMILIES.keys())
+def test_decode_matches_linear_contains_scan_on_every_flat(make, ambiguous_ranks):
+    fam = make()
+    # A block holds a flat only if it holds the flat's points, so testing
+    # the point sets first skips contains() calls, not hits of the scan.
+    point_sets = [frozenset(b.points()) for b in fam.blocks]
+
+    def linear_scan(fam, flat):
+        pts = frozenset(flat.points())
+        hits = [b for b, on in zip(fam.blocks, point_sets)
+                if pts <= on and b.contains(flat)]
+        if not hits:
+            raise Erasure("no block contains the received flat")
+        if len(hits) > 1:
+            raise Ambiguity(hits)
+        return hits[0]
+
+    seen = set()
+    for r in range(1, fam.block_rank + 1):
+        for flat in enumerate_flats(fam.geometry, r):
+            got = decode_outcome(decode, fam, flat)
+            assert got == decode_outcome(linear_scan, fam, flat), (r, flat)
+            seen.add((r, got[1]))
+    assert {r for r, exc in seen if exc is Ambiguity} == ambiguous_ranks
+    assert (fam.block_rank, None) in seen

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from affgeo import (NetworkConfig, SplitMix64, affine_steiner, field_new,
-                    propagate, random_affine_coeffs, run_trials, trial_rng)
+from affgeo import (NetworkConfig, SplitMix64, affine_poly_code, affine_steiner,
+                    field_new, propagate, random_affine_coeffs, run_trials,
+                    trial_rng)
 from affgeo.flatspace import rref_rows
 
 F2 = field_new(2)
@@ -136,3 +137,65 @@ def test_render_format():
     assert "rng-id=splitmix64" in text
     assert "seed=4" in text
     assert text.endswith("\n")
+
+
+def _splitmix64_outputs(state, count):
+    """Reference SplitMix64 (Steele, Lea & Flood 2014), written out once more."""
+    mask = (1 << 64) - 1
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def test_below_is_next_u64_mod_n_on_twin_generators():
+    for n in (1, 2, 3, 19, 512, 2 ** 32 + 15, 2 ** 64 - 1):
+        a, b = SplitMix64(n), SplitMix64(n)
+        assert [a.below(n) for _ in range(10_000)] == \
+               [b.next_u64() % n for _ in range(10_000)]
+    rng = SplitMix64(2 ** 64 + 5)  # the seed is taken mod 2^64
+    assert [rng.next_u64() for _ in range(10_000)] == list(_splitmix64_outputs(5, 10_000))
+
+
+def test_chance_matches_its_formula_on_twin_generators():
+    def old_chance(rng, prob):
+        a, n = prob.numerator, prob.denominator
+        if a <= 0:
+            return False
+        if a >= n:
+            return True
+        return rng.next_u64() % n < a
+
+    for prob in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(5, 7),
+                 Fraction(2 ** 64 - 1, 2 ** 64), Fraction(1)):
+        a, b = SplitMix64(17), SplitMix64(17)
+        assert [a.chance(prob) for _ in range(10_000)] == \
+               [old_chance(b, prob) for _ in range(10_000)]
+        assert a.next_u64() == b.next_u64()  # the same number of draws
+
+
+def _report(stats):
+    return (stats.successes, stats.ambiguities, stats.erasures,
+            stats.mean_received_rank)
+
+
+def test_dag_baseline_poly_code_q19_seed11():
+    code = affine_poly_code(19, 2, 1, 1)
+    cfg = NetworkConfig(layers=2, width=4, drop_prob=Fraction(1, 5))
+    assert _report(run_trials(code, cfg, 300, seed=11)) == \
+        (296, 0, 4, Fraction(247, 150))
+
+
+def test_dag_baseline_steiner_f4_seed12():
+    code = affine_steiner(2, 2, 4)
+    cfg = NetworkConfig(layers=3, width=6, drop_prob=Fraction(1, 10))
+    assert _report(run_trials(code, cfg, 300, seed=12)) == \
+        (247, 53, 0, Fraction(617, 300))
+
+
+def test_forced_deletion_baseline_steiner_f4_seed13():
+    code = affine_steiner(2, 2, 4)
+    stats = run_trials(code, NetworkConfig(), 300, seed=13, forced_deletions=1)
+    assert _report(stats) == (300, 0, 0, Fraction(2))
