@@ -151,10 +151,11 @@ def decode(fam: FlatFamily, received):
     """The unique block containing the received flat.
 
     Point-index intersection, then containment: the blocks through the
-    received flat's rep are kept only while they are also listed under
-    each further point rep + row, until at most one is left; the exact
-    contains() then runs on the survivors.  A point's index entry is
-    already exact.  Candidates keep the order of fam.blocks.
+    received flat's rep are kept only if they are also listed under each
+    further point rep + row.  Those points are affinely independent, so
+    a block through all of them contains their closure, the received
+    flat; the intersection is the containment test.  Candidates keep the
+    order of fam.blocks.
 
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
@@ -168,17 +169,12 @@ def decode(fam: FlatFamily, received):
         raise GeometryError("received flat must have rank >= 1")
     if not affine or g.q ** g.ambient_dim > 1 << 20:
         hits = [b for b in fam.blocks if b.contains(received)]
-    elif rank == 1:
-        hits = fam.point_blocks.get(received.rep, ())
     else:
         index, rep = fam.point_blocks, received.rep
-        pool = index.get(rep, ())
+        hits = index.get(rep, ())
         for row in received.dir.rows:
-            if len(pool) <= 1:
-                break
             on = set(map(id, index.get(flatspace.vec_add(g.field, rep, row), ())))
-            pool = [b for b in pool if id(b) in on]
-        hits = [b for b in pool if b.contains(received)]
+            hits = [b for b in hits if id(b) in on]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

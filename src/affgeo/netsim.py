@@ -124,16 +124,13 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     if not sources:
         raise ValueError("propagate needs at least one source vector")
     prev = list(sources)
-    below = rng.below
-    # gather's drop test is rng.chance(cfg.drop_prob) inlined, with the
-    # fraction read once per call; it draws exactly as chance() does
-    a, n = cfg.drop_prob.numerator, cfg.drop_prob.denominator
+    below, chance, p = rng.below, rng.chance, cfg.drop_prob
 
     def gather(n_edges, pool):
         got, m = [], len(pool)
         for _ in range(n_edges):
             v = pool[below(m)]
-            if v is not None and not (a > 0 and (a >= n or below(n) < a)):
+            if v is not None and not chance(p):
                 got.append(v)
         return got
 
