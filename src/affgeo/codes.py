@@ -7,7 +7,8 @@ configuration.  The decoder is point-index intersection, then
 containment: a received subflat of rank >= t identifies its block
 uniquely in a partial S(t, k, n).  The largest pairwise meet rank m,
 which fixes the correction radius k - m - 1, comes from a collision
-tally of subflats whose cost is the number of rank-(m+1) subflats of
+tally of the blocks' subflats, by the packed int keys of
+design.FlatKeys, whose cost is the number of rank-(m+1) subflats of
 the blocks, against b^2 pairwise meets.
 """
 
@@ -83,24 +84,22 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
 
     Ascending collision tally: a meet of flats is a flat, so the meet
     rank is at least r exactly when some rank-r flat lies in two blocks.
-    Level r = 1, 2, ..., k-1 puts the blocks' rank-r subflats in a set,
-    keyed by sort_key(), and stops at its first repeat; the answer is r-1
-    for the first level with no repeat, or k-1.  Cost: the rank-(m+1)
-    subflats of all blocks, against b^2 meets for a pairwise scan.
+    Level r = 1, 2, ..., k-1 puts the packed keys of the blocks' rank-r
+    subflats (design.FlatKeys) in a set, a block at a time, and stops at
+    its first repeat; the answer is r-1 for the first level with no
+    repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
+    b^2 meets for a pairwise scan.
     """
-    blocks = fam.blocks
-    if len(blocks) < 2:
+    if len(fam.blocks) < 2:
         return 0
     g = fam.geometry
     k = fam.block_rank
     for r in range(1, k):
         seen = set()
-        shapes = design.subflat_shapes(g, k, r)
-        keys = (f.sort_key() for b in blocks for f in design.subflats(b, r, g, shapes))
-        for key in keys:
-            if key in seen:
+        for keys in design.FlatKeys(g, r).subflats(fam):
+            if not seen.isdisjoint(keys):
                 break
-            seen.add(key)
+            seen.update(keys)
         else:
             return r - 1
     return k - 1

@@ -5,7 +5,10 @@ A FlatFamily is a geometry plus a deduplicated list of equal-rank flats
 (blocks).  verify_design counts, for every rank-t flat of the geometry,
 how many blocks contain it; the count is obtained by enumerating each
 block's rank-t subflats and tallying, which is linear in the blocks
-rather than in all (t-flat, block) pairs.
+rather than in all (t-flat, block) pairs.  The tally counts packed int
+keys (FlatKeys), not flat objects: a block's subflat keys are its packed
+rep plus offsets packed once per block direction.  subflats() gives the
+same subflats as objects; the tests tally those as the oracle.
 
 All counts are exact integers; lambda_s is an exact Fraction.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -148,7 +152,8 @@ def subflat_shapes(g: GeometrySpec, k: int, t: int) -> SubflatShapes:
 
 def subflats(block, t: int, g: GeometrySpec, shapes=None):
     """All rank-t flats in block; shapes is subflat_shapes(g, k, t).  A coset
-    rep + c*dir is canonical as rep is zero on dir's pivots and c on S's."""
+    rep + c*dir is canonical as rep is zero on dir's pivots and c on S's.
+    FlatKeys.subflats gives their keys, in this order."""
     if shapes is None:
         shapes = subflat_shapes(g, flat_rank(block, g), t)
     if g.kind == "projective":
@@ -172,6 +177,90 @@ def _lift(S: LinearSubspace, basis: LinearSubspace) -> LinearSubspace:
                           tuple(basis.pivots[i] for i in S.pivots))
 
 
+class FlatKeys:
+    """Canonical int keys of the rank-t flats of g, for the subflat tally.
+
+    A vector packs into fixed-width digits, most significant first, so int
+    order is tuple order.  A subspace's key is its packed RREF rows; an
+    affine flat's key puts its direction's packed rows above its packed
+    rep.  Both parts are canonical, so equal flats have equal keys.
+    """
+
+    def __init__(self, g: GeometrySpec, t: int):
+        K = g.field
+        self.g, self.t = g, t
+        self.w = (K.order - 1).bit_length()
+        self.bits = self.w * g.ambient_dim
+        # rep + offset, chosen once per field: encodings of F_{2^e} add by
+        # XOR, so packed reps and offsets add with one ^; over odd p they
+        # stay tuples, add by table rows, and the sum is packed
+        if K.p == 2:
+            self.rep, self.add = self.pack, operator.xor
+        else:
+            self.rep = tuple
+            self.add = lambda r, o: self.pack(flatspace.vec_add(K, r, o))
+
+    def pack(self, v) -> int:
+        """The digits of v, most significant first; chained rows pack alike."""
+        x, w = 0, self.w
+        for c in v:
+            x = x << w | c
+        return x
+
+    def unpack(self, x: int) -> tuple:
+        """The vector in the low digits of x."""
+        w, mask = self.w, (1 << self.w) - 1
+        return tuple([x >> s & mask for s in range(self.bits - w, -1, -w)])
+
+    def key(self, f) -> int:
+        """The key of a rank-t flat of g."""
+        if self.g.kind == "projective":
+            return self.pack(itertools.chain(*f.rows))
+        return 0 if f.is_empty else self.pack(itertools.chain(*f.dir.rows, f.rep))
+
+    def flat(self, key: int):
+        """The rank-t flat of g with this key."""
+        K, d = self.g.field, self.g.ambient_dim
+        vectors = [self.unpack(key >> self.bits * i) for i in reversed(range(self.t))]
+        if self.g.kind == "projective":
+            return LinearSubspace.from_rows(K, d, vectors)
+        if self.t == 0:
+            return AffineFlat.empty(K, d)
+        *rows, rep = vectors  # an affine key packs t-1 rows, then the rep
+        return AffineFlat(K, d, rep, LinearSubspace.from_rows(K, d, rows))
+
+    def subflats(self, fam: FlatFamily):
+        """Per block of fam, the keys of its rank-t subflats in subflats() order.
+
+        Each block direction D's lifted shapes and coset offsets c*D.rows
+        are packed once; a block then adds its packed rep to each offset.
+        """
+        g, t = self.g, self.t
+        shapes = subflat_shapes(g, fam.block_rank, t)
+        if g.kind == "projective":
+            for B in fam.blocks:
+                yield [self.pack(itertools.chain(*_lift(S, B).rows)) for S, _ in shapes]
+            return
+        if t == 0:
+            for _ in fam.blocks:
+                yield [0]
+            return
+        K, zero, bits = g.field, (0,) * g.ambient_dim, self.bits
+
+        @cache
+        def parts(D):
+            return [(self.pack(itertools.chain(*T.rows)) << bits,
+                     [self.rep(combine(K, zero, c, D.rows)) for c in cs])
+                    for T, (_, cs) in zip(shapes.lift(D), shapes)]
+
+        rep, add = self.rep, self.add
+        for b in fam.blocks:
+            r, keys = rep(b.rep), []
+            for dir_key, offsets in parts(b.dir):
+                keys += sorted([dir_key | add(r, o) for o in offsets])
+            yield keys
+
+
 # --- verification -------------------------------------------------------------
 
 def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
@@ -182,11 +271,11 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     k = fam.block_rank
     if not 0 <= t <= k:
         raise DesignError(f"t={t} is outside [0, block rank {k}]")
-    tally = Counter()
-    shapes = subflat_shapes(g, k, t)
-    for b in fam.blocks:
-        tally.update(subflats(b, t, g, shapes))
-    return _judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
+    keys = FlatKeys(g, t)
+    tally = Counter(itertools.chain.from_iterable(keys.subflats(fam)))
+    res = _judge(tally, count_flats(g, t),
+                 lambda: map(keys.key, enumerate_flats(g, t)))
+    return res if res.witness is None else replace(res, witness=keys.flat(res.witness))
 
 
 def _judge(tally: Counter, total: int, everything) -> VerifyResult:

@@ -1,0 +1,163 @@
+"""The keyed subflat tally against the object tally it replaced.
+
+verify_design and max_pairwise_meet_rank count packed int keys
+(design.FlatKeys).  The oracles below tally the AffineFlat /
+LinearSubspace objects of design.subflats() instead, so every result,
+witness included, must come out the same.
+"""
+
+from collections import Counter
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affgeo import (FlatFamily, affine_geometry, affine_poly_code,
+                    affine_steiner, complete_design, desarguesian_spread,
+                    field_new, max_pairwise_meet_rank, projective_geometry,
+                    verify_design)
+from affgeo.design import FlatKeys, _judge, subflat_shapes, subflats
+from affgeo.flatspace import count_flats, enumerate_flats, enumerate_points
+from affgeo.galois import field_of_order
+
+
+def object_verify(fam, t):
+    """verify_design as a Counter of subflats() objects, judged by _judge."""
+    g = fam.geometry
+    shapes = subflat_shapes(g, fam.block_rank, t)
+    tally = Counter()
+    for b in fam.blocks:
+        tally.update(subflats(b, t, g, shapes))
+    return _judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
+
+
+def object_meet_rank(fam):
+    """The ascending collision tally on subflats() objects."""
+    if len(fam.blocks) < 2:
+        return 0
+    g, k = fam.geometry, fam.block_rank
+    for r in range(1, k):
+        shapes = subflat_shapes(g, k, r)
+        flats = [f for b in fam.blocks for f in subflats(b, r, g, shapes)]
+        if len(set(flats)) == len(flats):
+            return r - 1
+    return k - 1
+
+
+FAMILIES = {
+    "s237": lambda: affine_steiner(2, 3, 2),          # S(2,3,7) over F_2
+    "s2-f4": lambda: affine_steiner(2, 2, 4),         # S(2,3,5) over F_4
+    "s2-f3": lambda: affine_steiner(2, 2, 3),         # S(2,3,5) over F_3
+    "poly-q3": lambda: affine_poly_code(3, 2, 2, 2),
+    "poly-q19": lambda: affine_poly_code(19, 2, 1, 1),
+    "pg32-spread": lambda: desarguesian_spread(4, 2, 2),
+    "pg32-lines": lambda: complete_design(projective_geometry(field_new(2), 4), 2),
+}
+
+
+@cache
+def family(name):
+    return FAMILIES[name]()
+
+
+def variants(fam):
+    """The family, one block dropped, and that in reverse block order."""
+    mid = len(fam.blocks) // 2
+    drop = fam.blocks[:mid] + fam.blocks[mid + 1:]
+    return {"full": fam, "drop": FlatFamily(fam.geometry, drop),
+            "drop-reversed": FlatFamily(fam.geometry, drop[::-1])}
+
+
+def outcome(res):
+    """ok, uncovered witness or least-covered witness."""
+    return "ok" if res.ok else "uncovered" if res.counts[0] == 0 else "uneven"
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_keyed_verify_matches_object_tally(name):
+    seen = set()
+    for variant, fam in variants(family(name)).items():
+        for t in range(fam.block_rank + 1):
+            if name == "poly-q19" and t == 2 and variant != "full":
+                continue  # each walks all 137,541 lines of AG(3,19), as "full" does
+            res = verify_design(fam, t)
+            assert res == object_verify(fam, t), t
+            seen.add(outcome(res))
+    assert "ok" in seen and "uncovered" in seen
+
+
+def test_keyed_verify_finds_least_covered_witnesses():
+    # every point lies on a block of a subset of all PG(3,2) lines, unevenly
+    lines = family("pg32-lines")
+    for fam in (FlatFamily(lines.geometry, lines.blocks[:-1]),
+                FlatFamily(lines.geometry, lines.blocks[-2::-1])):
+        res = verify_design(fam, 1)
+        assert outcome(res) == "uneven"
+        assert res == object_verify(fam, 1)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_keyed_meet_rank_matches_object_tally(name):
+    for fam in variants(family(name)).values():
+        assert max_pairwise_meet_rank(fam) == object_meet_rank(fam)
+
+
+SUBSET_FAMILIES = [n for n in FAMILIES if n != "poly-q19"]  # q=19 has its own test
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_keyed_tally_matches_object_tally_on_random_subsets(data):
+    full = family(data.draw(st.sampled_from(SUBSET_FAMILIES), label="family"))
+    picks = data.draw(st.lists(st.integers(0, len(full.blocks) - 1), min_size=1,
+                               max_size=24, unique=True), label="blocks")
+    fam = FlatFamily(full.geometry, tuple(full.blocks[i] for i in picks))
+    for t in range(1, fam.block_rank + 1):
+        assert verify_design(fam, t) == object_verify(fam, t), t
+    assert max_pairwise_meet_rank(fam) == object_meet_rank(fam)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 360), min_size=1, max_size=40, unique=True))
+def test_keyed_tally_matches_object_tally_on_random_q19_subsets(picks):
+    # t=1 only: at t=2 each example would walk all lines of AG(3,19) twice
+    full = family("poly-q19")
+    fam = FlatFamily(full.geometry, tuple(full.blocks[i] for i in picks))
+    assert verify_design(fam, 1) == object_verify(fam, 1)
+    assert max_pairwise_meet_rank(fam) == object_meet_rank(fam)
+
+
+@pytest.mark.parametrize("q, d", [(2, 6), (4, 3), (8, 3), (3, 4), (9, 3), (19, 3)])
+def test_packing_round_trips_and_keeps_tuple_order(q, d):
+    K = field_of_order(q)
+    keys = FlatKeys(affine_geometry(K, d + 1), 1)
+    vectors = enumerate_points(affine_geometry(K, d + 1))
+    packed = [keys.pack(v) for v in vectors]
+    assert [keys.unpack(x) for x in packed] == vectors
+    assert len(set(packed)) == len(vectors)
+    assert [keys.unpack(x) for x in sorted(packed)] == sorted(vectors)
+
+
+@pytest.mark.parametrize("g", [affine_geometry(field_new(2), 4),
+                               affine_geometry(field_new(3), 3),
+                               affine_geometry(field_new(2, 2), 3),
+                               projective_geometry(field_new(2), 4),
+                               projective_geometry(field_new(3), 3)],
+                         ids=["AG(3,2)", "AG(2,3)", "AG(2,4)", "PG(3,2)", "PG(2,3)"])
+def test_every_flat_round_trips_through_its_key(g):
+    for t in range(g.rank + 1):
+        keys = FlatKeys(g, t)
+        flats = enumerate_flats(g, t)
+        packed = [keys.key(f) for f in flats]
+        assert len(set(packed)) == len(flats)
+        assert [keys.flat(x) for x in packed] == flats
+
+
+def test_subflat_keys_are_the_keys_of_subflats():
+    for name in ("s2-f4", "s2-f3", "pg32-lines"):
+        fam = family(name)
+        for t in range(fam.block_rank + 1):
+            keys = FlatKeys(fam.geometry, t)
+            assert list(keys.subflats(fam)) == [
+                [keys.key(f) for f in subflats(b, t, fam.geometry)] for b in fam.blocks]
