@@ -19,13 +19,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
 from . import flatspace
 from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace, combine,
                         count_flats, enumerate_flats, flat_rank)
+from .galois import Record
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -36,12 +36,11 @@ class DesignError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FlatFamily:
+class FlatFamily(Record):
     """A uniform-rank family of flats in one geometry (design, code, spread)."""
 
-    geometry: GeometrySpec
-    blocks: tuple
+    # __dict__ holds the cached point_blocks; families stay weakly referenceable
+    __slots__ = ("geometry", "blocks", "__dict__", "__weakref__")
 
     def __post_init__(self):
         if len(set(self.blocks)) != len(self.blocks):
@@ -79,25 +78,18 @@ class FlatFamily:
         return len(self.blocks)
 
 
-@dataclass(frozen=True)
-class DesignParams:
-    t: int
-    k: int
-    n: int
-    lam: int
-    q: int
+class DesignParams(Record):
+    __slots__ = ("t", "k", "n", "lam", "q")
 
     def __post_init__(self):
         if not 1 <= self.t <= self.k <= self.n:
             raise DesignError(f"need 1 <= t <= k <= n, got {self}")
 
 
-@dataclass(frozen=True)
-class ClassicalDesign:
+class ClassicalDesign(Record):
     """A classical design on points 0..v-1 with uniform block size."""
 
-    point_count: int
-    blocks: tuple  # tuple of frozensets of indices
+    __slots__ = ("point_count", "blocks")  # blocks: frozensets of indices
 
     def __post_init__(self):
         sizes = {len(b) for b in self.blocks}
@@ -112,12 +104,9 @@ class ClassicalDesign:
         return len(self.blocks[0]) if self.blocks else 0
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    lam: int | None = None
-    witness: object = None
-    counts: tuple = ()
+class VerifyResult(Record):
+    __slots__ = ("ok", "lam", "witness", "counts")
+    _defaults = {"lam": None, "witness": None, "counts": ()}
 
     def __bool__(self):
         return self.ok
@@ -274,8 +263,9 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     keys = FlatKeys(g, t)
     tally = Counter(itertools.chain.from_iterable(keys.subflats(fam)))
     res = _judge(tally, count_flats(g, t),
-                 lambda: map(keys.key, enumerate_flats(g, t)))
-    return res if res.witness is None else replace(res, witness=keys.flat(res.witness))
+                 lambda: map(keys.key, flatspace.iter_flats(g, t)))
+    return res if res.witness is None else VerifyResult(
+        res.ok, res.lam, keys.flat(res.witness), res.counts)
 
 
 def _judge(tally: Counter, total: int, everything) -> VerifyResult:

@@ -2,8 +2,10 @@
 
 Vectors are tuples of field-element encodings (see galois.FieldSpec);
 a LinearSubspace stores a reduced row-echelon basis, an AffineFlat a
-canonical coset representative plus a direction subspace.  Canonical
-forms make equality and hashing O(1), which everything downstream
+canonical coset representative plus a direction subspace.  Both are
+immutable galois.Record values (with hand-written __init__, __eq__ and
+__hash__, as they are built by the thousand), and canonical forms make
+equal flats compare and hash equal, which everything downstream
 (dedup, design verification, decoding) relies on.
 
 Geometries are coordinatized: AG(d, q) on the vectors of F_q^d and
@@ -15,10 +17,9 @@ dimension n-1, projective rank n means underlying vector dimension n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
 
-from .galois import FieldElem, FieldSpec
+from .galois import FieldElem, FieldSpec, Record
 
 ENUMERATION_GUARD = 10 ** 7
 
@@ -88,22 +89,6 @@ def reduce_vector(K: FieldSpec, rows, pivots, v):
     return v
 
 
-def solve_combination(K: FieldSpec, gens, target, d):
-    """Coefficients c with sum(c_i * gens_i) == target, or None.
-
-    Eliminates [gens | I] on the first d columns; reducing target + 0^n
-    leaves -c in the identity half once the gens half is cleared.
-    """
-    n = len(gens)
-    aug = [tuple(g) + tuple(1 if j == i else 0 for j in range(n))
-           for i, g in enumerate(gens)]
-    rows, pivots = rref_rows(K, aug, d)
-    t = reduce_vector(K, rows, pivots, tuple(target) + (0,) * n)
-    if any(t[:d]):
-        return None
-    return tuple(K.neg(x) for x in t[d:])
-
-
 def combine(K: FieldSpec, start, coeffs, rows):
     """start + sum(c_i * rows_i), one table multiply-add per nonzero c_i."""
     add, mul = K._add, K._mul
@@ -117,12 +102,10 @@ def combine(K: FieldSpec, start, coeffs, rows):
 
 # --- core types -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VectorFq:
+class VectorFq(Record):
     """A point of AG(d, q): a coordinate vector over a fixed field."""
 
-    spec: FieldSpec
-    coords: tuple  # encodings
+    __slots__ = ("spec", "coords")  # coords are encodings
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "VectorFq":
@@ -137,14 +120,26 @@ class VectorFq:
         return f"VectorFq({' '.join(self.spec.digits(c) for c in self.coords)})"
 
 
-@dataclass(frozen=True)
-class LinearSubspace:
+class LinearSubspace(Record):
     """A subspace of F_q^d, stored as its unique RREF basis."""
 
-    spec: FieldSpec
-    d: int
-    rows: tuple  # tuple of coordinate tuples, RREF
-    pivots: tuple
+    __slots__ = ("spec", "d", "rows", "pivots")  # rows: coordinate tuples, RREF
+
+    def __init__(self, spec: FieldSpec, d: int, rows: tuple, pivots: tuple):
+        put = object.__setattr__
+        put(self, "spec", spec)
+        put(self, "d", d)
+        put(self, "rows", rows)
+        put(self, "pivots", pivots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.d, self.rows, self.pivots)
+                == (other.spec, other.d, other.rows, other.pivots))
+
+    def __hash__(self):
+        return hash((self.spec, self.d, self.rows, self.pivots))
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, d: int, rows) -> "LinearSubspace":
@@ -182,18 +177,31 @@ class LinearSubspace:
         return f"LinearSubspace(dim={self.dim} of F^{self.d})"
 
 
-@dataclass(frozen=True)
-class AffineFlat:
+class AffineFlat(Record):
     """A coset of a subspace of F_q^d, or the empty flat (rep=None).
 
     The representative is canonical: its entries at the direction's
     pivot columns are zero, so equal cosets compare equal.
     """
 
-    spec: FieldSpec
-    d: int
-    rep: tuple | None  # None encodes the empty flat
-    dir: LinearSubspace | None
+    __slots__ = ("spec", "d", "rep", "dir")  # rep None encodes the empty flat
+
+    def __init__(self, spec: FieldSpec, d: int, rep: tuple | None,
+                 dir: LinearSubspace | None):
+        put = object.__setattr__
+        put(self, "spec", spec)
+        put(self, "d", d)
+        put(self, "rep", rep)
+        put(self, "dir", dir)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.d, self.rep, self.dir)
+                == (other.spec, other.d, other.rep, other.dir))
+
+    def __hash__(self):
+        return hash((self.spec, self.d, self.rep, self.dir))
 
     @classmethod
     def empty(cls, spec: FieldSpec, d: int) -> "AffineFlat":
@@ -252,13 +260,10 @@ class AffineFlat:
         return f"AffineFlat(rank={self.rank} of AG^{self.d})"
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
+class GeometrySpec(Record):
     """AG or PG over a fixed field, identified by total matroid rank n."""
 
-    kind: str  # 'affine' | 'projective'
-    field: FieldSpec
-    rank: int
+    __slots__ = ("kind", "field", "rank")  # kind: 'affine' | 'projective'
 
     def __post_init__(self):
         if self.kind not in ("affine", "projective"):
@@ -316,22 +321,22 @@ def lin_join(U: LinearSubspace, V: LinearSubspace) -> LinearSubspace:
     return LinearSubspace.from_rows(U.spec, U.d, list(U.rows) + list(V.rows))
 
 
-def aff_closure(points) -> AffineFlat:
-    """Smallest coset containing the given nonempty point set."""
-    pts = [p.coords if isinstance(p, VectorFq) else tuple(p) for p in points]
-    if not pts:
-        raise GeometryError("affine closure of an empty set is undefined")
-    specs = {p.spec for p in points if isinstance(p, VectorFq)}
-    if len(specs) > 1:
-        raise GeometryError("points disagree on field")
-    spec = specs.pop() if specs else None
+def aff_closure(points, spec: FieldSpec | None = None) -> AffineFlat:
+    """Smallest coset containing the given nonempty point set: VectorFq
+    points, or with spec given, tuples of encodings over spec."""
     if spec is None:
-        raise GeometryError("aff_closure expects VectorFq points")
-    base = pts[0]
-    d = len(base)
-    diffs = [vec_sub(spec, p, base) for p in pts[1:]]
-    dir = LinearSubspace.from_rows(spec, d, diffs)
-    return AffineFlat.coset(base, dir)
+        pts = [p.coords if isinstance(p, VectorFq) else tuple(p) for p in points]
+        specs = {p.spec for p in points if isinstance(p, VectorFq)}
+        if len(specs) > 1:
+            raise GeometryError("points disagree on field")
+        if pts and not specs:
+            raise GeometryError("aff_closure expects VectorFq points")
+        spec, points = next(iter(specs), None), pts
+    if not points:
+        raise GeometryError("affine closure of an empty set is undefined")
+    base = points[0]
+    diffs = [vec_sub(spec, p, base) for p in points[1:]]
+    return AffineFlat.coset(base, LinearSubspace.from_rows(spec, len(base), diffs))
 
 
 def aff_meet(E: AffineFlat, F: AffineFlat) -> AffineFlat:
@@ -345,9 +350,15 @@ def aff_meet(E: AffineFlat, F: AffineFlat) -> AffineFlat:
     gens = list(E.dir.rows) + [tuple(map(K.neg, r)) for r in F.dir.rows]
     if not gens:
         return E if diff == (0,) * d else AffineFlat.empty(K, d)
-    coeffs = solve_combination(K, gens, diff, d)
-    if coeffs is None:
+    # coefficients c with sum(c_i * gens_i) == diff: eliminate [gens | I] on
+    # the first d columns, and diff + 0^n reduces to -c in the identity half
+    n = len(gens)
+    rows, pivots = rref_rows(K, [g + tuple(1 if j == i else 0 for j in range(n))
+                                 for i, g in enumerate(gens)], d)
+    t = reduce_vector(K, rows, pivots, diff + (0,) * n)
+    if any(t[:d]):
         return AffineFlat.empty(K, d)
+    coeffs = [K.neg(x) for x in t[d:]]
     point = combine(K, E.rep, coeffs, E.dir.rows)  # E's share of coeffs
     return AffineFlat.coset(point, lin_meet(E.dir, F.dir))
 
@@ -432,14 +443,19 @@ def enumerate_subspaces(spec: FieldSpec, d: int, k: int):
 
 def enumerate_flats(g: GeometrySpec, r: int):
     """All rank-r flats of the geometry, each once, deterministic order."""
+    return list(iter_flats(g, r))
+
+
+def iter_flats(g: GeometrySpec, r: int):
+    """enumerate_flats(g, r) one at a time, the guard checked on the call."""
     check_guard(count_flats(g, r))
     K = g.field
     d = g.ambient_dim
     if g.kind == "projective":
-        return list(enumerate_subspaces(K, d, r))
+        return enumerate_subspaces(K, d, r)
     if r == 0:
-        return [AffineFlat.empty(K, d)]
-    return [f for U in enumerate_subspaces(K, d, r - 1) for f in cosets(U)]
+        return iter([AffineFlat.empty(K, d)])
+    return (f for U in enumerate_subspaces(K, d, r - 1) for f in cosets(U))
 
 
 def cosets(U: LinearSubspace):

@@ -27,7 +27,6 @@ reading a block file costs one lookup per coordinate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 ORDER_LIMIT = 512
@@ -35,6 +34,55 @@ ORDER_LIMIT = 512
 
 class FieldError(ValueError):
     """Bad field parameters or invalid field operation."""
+
+
+class Record:
+    """Base of the immutable value types: fields named in __slots__, defaults
+    in _defaults, checks in __post_init__.  Instances compare and hash as
+    the tuple of their field values, and only within one class."""
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("__"))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if (len(args) > len(names) or values.keys() != set(names)
+                or kwargs.keys() & names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes {names}, got {args} {kwargs}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _is_prime(n: int) -> bool:
@@ -268,12 +316,10 @@ def field_of_order(q: int) -> FieldSpec:
     raise FieldError(f"{q} is not a prime power")
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(Record):
     """An element of F_{p^e}, wrapping its integer encoding."""
 
-    spec: FieldSpec
-    val: int
+    __slots__ = ("spec", "val")
 
     @property
     def coeffs(self) -> tuple:

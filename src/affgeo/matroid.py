@@ -9,11 +9,10 @@ size (EXHAUSTIVE_LIMIT elements, i.e. 2^12 subsets).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import flatspace
-from .galois import FieldSpec
+from .galois import FieldSpec, Record
 from .flatspace import GeometrySpec, aff_closure
 
 EXHAUSTIVE_LIMIT = 12
@@ -33,18 +32,15 @@ class NotAPmd(MatroidError):
             f"rank-{rank} flats of sizes {len(flat_a)} and {len(flat_b)}")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    detail: str = ""
-    witness: tuple = ()
+class CheckReport(Record):
+    __slots__ = ("ok", "detail", "witness")
+    _defaults = {"detail": "", "witness": ()}
 
 
-@dataclass(frozen=True)
-class PmdType:
+class PmdType(Record):
     """Flat cardinalities (f_0, ..., f_r) of a perfect matroid design."""
 
-    f: tuple
+    __slots__ = ("f",)
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.f, self.f[1:])):
@@ -138,7 +134,7 @@ def geometry_matroid(g: GeometrySpec) -> MatroidOracle:
             if not X:
                 return 0
             pts = sorted(X)
-            return aff_closure([flatspace.VectorFq(K, p) for p in pts]).rank
+            return aff_closure(pts, K).rank
     else:
         def rank(X):
             rows, _ = flatspace.rref_rows(K, list(X), d)

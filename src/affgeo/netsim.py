@@ -12,12 +12,12 @@ depend on execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import codes, flatspace
+from . import codes
 from .design import FlatFamily
 from .flatspace import aff_closure, combine, vec_add
+from .galois import Record
 
 RNG_ID = "splitmix64"
 
@@ -58,13 +58,10 @@ def trial_rng(seed: int, index: int) -> SplitMix64:
     return SplitMix64(mixer.next_u64())
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    layers: int = 1
-    width: int = 4
-    indegree: int = 2
-    drop_prob: Fraction = Fraction(0)
-    sink_indegree: int = 4
+class NetworkConfig(Record):
+    __slots__ = ("layers", "width", "indegree", "drop_prob", "sink_indegree")
+    _defaults = {"layers": 1, "width": 4, "indegree": 2,
+                 "drop_prob": Fraction(0), "sink_indegree": 4}
 
     def __post_init__(self):
         if self.layers < 1 or self.width < 1 or self.indegree < 1:
@@ -77,14 +74,9 @@ class NetworkConfig:
         object.__setattr__(self, "drop_prob", p)
 
 
-@dataclass(frozen=True)
-class TrialStats:
-    trials: int
-    successes: int
-    ambiguities: int
-    erasures: int
-    mean_received_rank: Fraction
-    seed: int
+class TrialStats(Record):
+    __slots__ = ("trials", "successes", "ambiguities", "erasures",
+                 "mean_received_rank", "seed")
 
     def render(self) -> str:
         """Flat key=value text block, exact numbers only."""
@@ -191,8 +183,7 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
         if not received_pts:
             erasures += 1
             continue
-        received = aff_closure(
-            [flatspace.VectorFq(K, p) for p in received_pts])
+        received = aff_closure(received_pts, K)
         if not block.contains(received):
             raise AssertionError("closure invariant violated: received not in block")
         rank_total += received.rank

@@ -48,41 +48,62 @@ EXPORTS = {
                "random_affine_coeffs", "run_trials", "trial_rng"],
 }
 
-# Runs `affgeo.cli.main(argv)` if argv is given, then prints the loaded
-# affgeo modules as a JSON list on the last line of stdout.
+# Runs `affgeo.cli.main(argv)` if argv is given, then prints the names in
+# sys.modules as a JSON list on the last line of stdout.
 PROBE = """
 import json, sys
 import affgeo.cli
 if sys.argv[1:] and affgeo.cli.main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "affgeo")))
+print(json.dumps(sorted(sys.modules)))
 """
 
+# dataclasses, and the inspect it imports, add milliseconds to every start
+# and no command needs them.
+UNNEEDED = {"dataclasses", "inspect"}
 
-def _loaded_after(*argv, cwd):
+
+def _modules(code, *argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("AFFGEO_THREADS", None)
-    out = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
                          capture_output=True, text=True, check=True).stdout
-    return {m.removeprefix("affgeo.") for m in json.loads(out.splitlines()[-1])}
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def _loaded_after(*argv, cwd, bare):
+    """The affgeo modules loaded by `affgeo argv`; asserts on the way that it
+    loads none of UNNEEDED beyond the modules `bare` of a bare interpreter,
+    which holds what site loads."""
+    loaded = _modules(PROBE, *argv, cwd=cwd)
+    assert not (loaded - bare) & UNNEEDED, argv
+    return {m.removeprefix("affgeo.") for m in loaded if m.split(".")[0] == "affgeo"}
 
 
 def test_each_command_loads_only_its_layers(tmp_path):
-    assert _loaded_after(cwd=tmp_path) == {"affgeo", "cli"}
+    bare = _modules("import json, sys; print(json.dumps(sorted(sys.modules)))", cwd=tmp_path)
+    assert _loaded_after(cwd=tmp_path, bare=bare) == {"affgeo", "cli"}
     built = _loaded_after("construct", "affine-steiner", "--q", "2", "--k", "1",
-                          "--l", "2", "--out", "s.blocks", cwd=tmp_path)
+                          "--l", "2", "--out", "s.blocks", cwd=tmp_path, bare=bare)
     assert {"construct", "blockfile"} <= built
     assert not built & {"matroid", "codes", "netsim"}
-    verified = _loaded_after("verify", "s.blocks", "--t", "2", cwd=tmp_path)
+    verified = _loaded_after("verify", "s.blocks", "--t", "2", cwd=tmp_path, bare=bare)
     assert "design" in verified
     assert not verified & {"matroid", "codes", "netsim", "construct"}
-    analyzed = _loaded_after("analyze", "s.blocks", cwd=tmp_path)
+    analyzed = _loaded_after("analyze", "s.blocks", cwd=tmp_path, bare=bare)
     assert "codes" in analyzed
     assert not analyzed & {"matroid", "netsim", "construct"}
+    expanded = _loaded_after("expand", "s.blocks", "--mode", "affine-2",
+                             "--out", "s.txt", cwd=tmp_path, bare=bare)
+    assert "design" in expanded
+    assert not expanded & {"matroid", "codes", "netsim"}
     simulated = _loaded_after("simulate", "s.blocks", "--trials", "2",
-                              "--forced-deletions", "1", cwd=tmp_path)
+                              "--forced-deletions", "1", cwd=tmp_path, bare=bare)
     assert "netsim" in simulated
     assert not simulated & {"matroid", "construct"}
+    simulated = _loaded_after("simulate", "s.blocks", "--trials", "2", "--layers", "2",
+                              "--drop-prob", "1/3", cwd=tmp_path, bare=bare)
+    assert "netsim" in simulated
 
 
 def test_public_api_unchanged():

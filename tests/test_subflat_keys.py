@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affgeo import (FlatFamily, affine_geometry, affine_poly_code,
-                    affine_steiner, complete_design, desarguesian_spread,
-                    field_new, max_pairwise_meet_rank, projective_geometry,
-                    verify_design)
-from affgeo.design import FlatKeys, _judge, subflat_shapes, subflats
+from affgeo import (AffineFlat, FlatFamily, GuardExceeded, LinearSubspace,
+                    affine_geometry, affine_poly_code, affine_steiner,
+                    complete_design, desarguesian_spread, field_new,
+                    max_pairwise_meet_rank, projective_geometry, verify_design)
+from affgeo import flatspace
+from affgeo.design import FlatKeys, VerifyResult, _judge, subflat_shapes, subflats
 from affgeo.flatspace import count_flats, enumerate_flats, enumerate_points
 from affgeo.galois import field_of_order
 
@@ -95,6 +96,31 @@ def test_keyed_verify_finds_least_covered_witnesses():
         res = verify_design(fam, 1)
         assert outcome(res) == "uneven"
         assert res == object_verify(fam, 1)
+
+
+def test_failing_verify_stops_its_walk_at_the_list_walks_witness(monkeypatch):
+    full = family("poly-q19")
+    fam = FlatFamily(full.geometry, full.blocks[:5])
+    g, keys = fam.geometry, FlatKeys(fam.geometry, 2)
+    tally = Counter(key for block_keys in keys.subflats(fam) for key in block_keys)
+    listed = [keys.key(f) for f in enumerate_flats(g, 2)]  # 137,541 lines
+    expected = _judge(tally, len(listed), lambda: listed)
+    walked, iter_flats = [], flatspace.iter_flats
+    monkeypatch.setattr(flatspace, "iter_flats",
+                        lambda g, t: (walked.append(f) or f for f in iter_flats(g, t)))
+    res = verify_design(fam, 2)
+    assert outcome(res) == "uncovered"
+    assert res == VerifyResult(False, None, keys.flat(expected.witness), expected.counts)
+    assert len(walked) == listed.index(expected.witness) + 1
+    assert walked[-1] == res.witness
+
+
+def test_failing_verify_over_the_guard_raises_before_its_walk():
+    K = field_new(19)
+    line = AffineFlat.coset((0,) * 6, LinearSubspace.from_rows(K, 6, [(1, 0, 0, 0, 0, 0)]))
+    fam = FlatFamily(affine_geometry(K, 7), (line,))  # 19^6 points, above the guard
+    with pytest.raises(GuardExceeded):
+        verify_design(fam, 1)
 
 
 @pytest.mark.parametrize("name", list(FAMILIES))
