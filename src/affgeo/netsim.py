@@ -8,6 +8,9 @@ into a flat and decodes by containment.
 Randomness comes from SplitMix64, seeded per trial from (seed, trial
 index), so trials are independent substreams and aggregate stats do not
 depend on execution order.
+
+propagate draws coefficients and combines only for nodes whose vectors
+reach the sink, and consumes the same stream as one pass (see its docstring).
 """
 
 from __future__ import annotations
@@ -41,15 +44,22 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return (z ^ (z >> 31)) % n
 
+    def skip(self, n: int) -> None:
+        """Advance past n steps without running the mix: n calls to below."""
+        self.state = (self.state + n * _GAMMA) & _MASK
+
     def chance(self, prob: Fraction) -> bool:
-        """Bernoulli draw with rational probability prob = a/n.
+        return self.bernoulli(prob)()
+
+    def bernoulli(self, prob: Fraction):
+        """Bernoulli draws with rational probability prob = a/n, as a function.
 
         below(n) is u64 % n, which is not exactly uniform: the chance of
-        True differs from a/n by at most n/2^64.  The seeded stream is
-        kept as it is rather than switched to rejection sampling.
+        True differs from a/n by at most n/2^64.  The seeded stream keeps
+        that rather than switch to rejection sampling.
         """
-        a, n = prob.numerator, prob.denominator  # n > 0
-        return a > 0 and (a >= n or self.below(n) < a)
+        a, n, below = prob.numerator, prob.denominator, self.below  # n > 0
+        return (lambda: below(n) < a) if 0 < a < n else (lambda: a > 0)
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
@@ -98,9 +108,9 @@ def random_affine_coeffs(rng: SplitMix64, K, s: int):
     if s < 1:
         raise ValueError("need at least one coefficient")
     below, q, add = rng.below, K.order, K._add
-    coeffs = [below(q) for _ in range(s - 1)]
-    total = 0
-    for c in coeffs:
+    coeffs, total = [], 0
+    for _ in range(s - 1):
+        coeffs.append(c := below(q))
         total = add[total][c]
     coeffs.append(add[1][K._neg[total]])
     return coeffs
@@ -112,31 +122,53 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     Each node samples cfg.indegree edges from the previous layer; an
     edge delivers nothing with probability drop_prob or when its tail
     node holds nothing.  A node with no surviving inputs emits nothing.
+
+    Pass 1 makes the picks and drops in stream order, notes each node's
+    inputs and the state its coefficient draws start at, and skips them
+    in O(1): coefficients decide no later draw, so rng ends where one
+    pass leaves it.  Pass 2 draws coefficients from the noted states and
+    combines, only in the ancestor cone of the sink's picks; a node whose
+    coefficients have one nonzero forwards that input.
     """
     if not sources:
         raise ValueError("propagate needs at least one source vector")
-    prev = list(sources)
-    below, chance, p = rng.below, rng.chance, cfg.drop_prob
+    below, drop = rng.below, rng.bernoulli(cfg.drop_prob)
 
-    def gather(n_edges, pool):
-        got, m = [], len(pool)
+    def gather(n_edges, live):
+        got, m = [], len(live)
         for _ in range(n_edges):
-            v = pool[below(m)]
-            if v is not None and not chance(p):
-                got.append(v)
+            j = below(m)
+            if live[j] and not drop():
+                got.append(j)
         return got
 
+    live, layers = [True] * len(sources), []
     for _ in range(cfg.layers):
-        layer = []
+        ins, starts = [], []
         for _node in range(cfg.width):
-            inputs = gather(cfg.indegree, prev)
-            if not inputs:
-                layer.append(None)
-                continue
-            lam = random_affine_coeffs(rng, spec, len(inputs))
-            layer.append(combine(spec, (0,) * len(inputs[0]), lam, inputs))
-        prev = layer
-    return gather(cfg.sink_indegree, prev)
+            ins.append(inputs := gather(cfg.indegree, live))
+            starts.append(rng.state)
+            if len(inputs) > 1:
+                rng.skip(len(inputs) - 1)
+        layers.append((ins, starts))
+        live = ins  # a node is live iff its input list is non-empty
+    sink = gather(cfg.sink_indegree, live)
+
+    cones = [set(sink)]
+    for ins, _ in reversed(layers[1:]):
+        cones.append({j for i in cones[-1] for j in ins[i]})
+    vals, coeff_rng, zero = sources, SplitMix64(0), (0,) * len(sources[0])
+    for (ins, starts), cone in zip(layers, reversed(cones)):
+        vals_next, get = {}, vals.__getitem__
+        for i in cone:
+            coeff_rng.state = starts[i]
+            lam = random_affine_coeffs(coeff_rng, spec, len(ins[i]))
+            if lam.count(0) == len(lam) - 1:  # the sum is 1, so the lone nonzero is 1
+                vals_next[i] = get(ins[i][lam.index(1)])
+            else:
+                vals_next[i] = combine(spec, zero, lam, map(get, ins[i]))
+        vals = vals_next
+    return [vals[j] for j in sink]
 
 
 def _block_generators(block):

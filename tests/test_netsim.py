@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affgeo import (NetworkConfig, SplitMix64, affine_poly_code, affine_steiner,
                     field_new, propagate, random_affine_coeffs, run_trials,
                     trial_rng)
-from affgeo.flatspace import rref_rows
+from affgeo.flatspace import combine, rref_rows
 
 F2 = field_new(2)
 CFG = NetworkConfig(layers=1, width=4, indegree=2,
@@ -199,3 +201,75 @@ def test_forced_deletion_baseline_steiner_f4_seed13():
     code = affine_steiner(2, 2, 4)
     stats = run_trials(code, NetworkConfig(), 300, seed=13, forced_deletions=1)
     assert _report(stats) == (300, 0, 0, Fraction(2))
+
+
+# The one-pass propagate that the two-pass one replaced, kept as its oracle.
+def _propagate_one_pass(cfg, spec, sources, rng):
+    """Push vectors through the layered DAG; returns the sink vectors.
+
+    Each node samples cfg.indegree edges from the previous layer; an
+    edge delivers nothing with probability drop_prob or when its tail
+    node holds nothing.  A node with no surviving inputs emits nothing.
+    """
+    if not sources:
+        raise ValueError("propagate needs at least one source vector")
+    prev = list(sources)
+    below, chance, p = rng.below, rng.chance, cfg.drop_prob
+
+    def gather(n_edges, pool):
+        got, m = [], len(pool)
+        for _ in range(n_edges):
+            v = pool[below(m)]
+            if v is not None and not chance(p):
+                got.append(v)
+        return got
+
+    for _ in range(cfg.layers):
+        layer = []
+        for _node in range(cfg.width):
+            inputs = gather(cfg.indegree, prev)
+            if not inputs:
+                layer.append(None)
+                continue
+            lam = random_affine_coeffs(rng, spec, len(inputs))
+            layer.append(combine(spec, (0,) * len(inputs[0]), lam, inputs))
+        prev = layer
+    return gather(cfg.sink_indegree, prev)
+
+
+ORACLE_FIELDS = (field_new(2), field_new(3), field_new(2, 2), field_new(19))
+
+
+@st.composite
+def dag_cases(draw):
+    cfg = NetworkConfig(
+        layers=draw(st.integers(1, 4)), width=draw(st.integers(1, 8)),
+        indegree=draw(st.integers(1, 3)), sink_indegree=draw(st.integers(1, 4)),
+        drop_prob=draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2),
+                                        Fraction(2, 3), Fraction(1)])))
+    K = draw(st.sampled_from(ORACLE_FIELDS))
+    d = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, K.order - 1)] * d)
+    sources = draw(st.lists(point, min_size=1, max_size=4))
+    return cfg, K, sources, draw(st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dag_cases())
+def test_propagate_matches_one_pass_oracle(case):
+    cfg, K, sources, seed = case
+    new, old = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(3):  # successive calls continue from the state left behind
+        assert propagate(cfg, K, sources, new) == _propagate_one_pass(cfg, K, sources, old)
+        assert new.state == old.state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 1000])
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+def test_skip_is_n_draws(n, seed):
+    skipped, stepped = SplitMix64(seed), SplitMix64(seed)
+    skipped.skip(n)
+    for _ in range(n):
+        stepped.below(7)
+    assert skipped.state == stepped.state
+    assert skipped.next_u64() == stepped.next_u64()
