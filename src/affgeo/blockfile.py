@@ -68,8 +68,7 @@ def render(fam: FlatFamily) -> str:
 
 
 def parse(text: str) -> FlatFamily:
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != MAGIC:
         raise ParseError(f"missing header {MAGIC!r}")
     try:
@@ -116,17 +115,17 @@ def parse(text: str) -> FlatFamily:
             raise ParseError(f"bad block: {exc}") from exc
 
     for ln in lines[3:]:
-        parts = ln.split()
-        if parts[0] == "block":
+        record = ln.split(None, 1)[0]
+        if record == "block":
             flush()
             in_block, rep, rows = True, None, []
-        elif parts[0] == "rep":
+        elif record == "rep":
             if not in_block or kind != "affine":
                 raise ParseError("unexpected rep line")
             rep = vec(ln)
             if len(rep) != d:
                 raise ParseError(f"rep has {len(rep)} coordinates, expected {d}")
-        elif parts[0] == "dir":
+        elif record == "dir":
             if not in_block:
                 raise ParseError("dir line outside a block")
             row = vec(ln)
@@ -134,7 +133,7 @@ def parse(text: str) -> FlatFamily:
                 raise ParseError(f"dir has {len(row)} coordinates, expected {d}")
             rows.append(row)
         else:
-            raise ParseError(f"unknown record {parts[0]!r}")
+            raise ParseError(f"unknown record {record!r}")
     flush()
     try:
         return FlatFamily(g, tuple(blocks))

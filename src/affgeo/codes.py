@@ -151,7 +151,8 @@ def decode(fam: FlatFamily, received):
 
     Point-index intersection, then containment: the blocks through the
     received flat's rep are kept only if they are also listed under each
-    further point rep + row.  Those points are affinely independent, so
+    further point rep + row, each point looked up by its FieldSpec.pack
+    key in fam.point_blocks.  Those points are affinely independent, so
     a block through all of them contains their closure, the received
     flat; the intersection is the containment test.  Candidates keep the
     order of fam.blocks.
@@ -169,10 +170,10 @@ def decode(fam: FlatFamily, received):
     if not affine or g.q ** g.ambient_dim > 1 << 20:
         hits = [b for b in fam.blocks if b.contains(received)]
     else:
-        index, rep = fam.point_blocks, received.rep
-        hits = index.get(rep, ())
+        K, index, rep = g.field, fam.point_blocks, received.rep
+        hits = index.get(K.pack(rep), ())
         for row in received.dir.rows:
-            on = set(map(id, index.get(flatspace.vec_add(g.field, rep, row), ())))
+            on = set(map(id, index.get(K.pack(flatspace.vec_add(K, rep, row)), ())))
             hits = [b for b in hits if id(b) in on]
     if not hits:
         raise Erasure("no block contains the received flat")

@@ -8,7 +8,9 @@ block's rank-t subflats and tallying, which is linear in the blocks
 rather than in all (t-flat, block) pairs.  The tally counts packed int
 keys (FlatKeys), not flat objects: a block's subflat keys are its packed
 rep plus offsets packed once per block direction.  subflats() gives the
-same subflats as objects; the tests tally those as the oracle.
+same subflats as objects; the tests tally those as the oracle.  There is
+one packing, FieldSpec.pack: the tally keys, FlatFamily.point_blocks and
+codes.decode all key vectors by it.
 
 All counts are exact integers; lambda_s is an exact Fraction.
 """
@@ -58,16 +60,18 @@ class FlatFamily(Record):
     @cached_property
     def point_blocks(self) -> dict:
         """Point -> blocks through it (affine families), built on first use.
-        Each direction's vectors are listed once; a block's points are its
-        rep plus each of them, in the order of points()."""
-        index, offsets = {}, cache(LinearSubspace.vectors)
+        Points are keyed by FieldSpec.pack ints.  Each direction's vectors
+        are converted once; a block's points are its rep plus each of them,
+        added as in FlatKeys (one ^ over p = 2), in the order of points()."""
+        keys = FlatKeys(self.geometry, 1)
+        rep, add = keys.rep, keys.add
+        index, offsets = {}, cache(lambda D: [rep(v) for v in D.vectors()])
         for b in self.blocks:
             if b.is_empty:
                 continue
-            add = b.spec._add
-            for v in offsets(b.dir):
-                p = tuple([add[x][y] for x, y in zip(b.rep, v)])
-                index.setdefault(p, []).append(b)
+            r = rep(b.rep)
+            for o in offsets(b.dir):
+                index.setdefault(add(r, o), []).append(b)
         return index
 
     def sorted(self) -> "FlatFamily":
@@ -169,37 +173,33 @@ def _lift(S: LinearSubspace, basis: LinearSubspace) -> LinearSubspace:
 class FlatKeys:
     """Canonical int keys of the rank-t flats of g, for the subflat tally.
 
-    A vector packs into fixed-width digits, most significant first, so int
-    order is tuple order.  A subspace's key is its packed RREF rows; an
-    affine flat's key puts its direction's packed rows above its packed
-    rep.  Both parts are canonical, so equal flats have equal keys.
+    A vector packs by FieldSpec.pack into fixed-width digits, most
+    significant first, so int order is tuple order.  A subspace's key is
+    its packed RREF rows; an affine flat's key puts its direction's packed
+    rows above its packed rep.  Both parts are canonical, so equal flats
+    have equal keys.
     """
 
     def __init__(self, g: GeometrySpec, t: int):
         K = g.field
         self.g, self.t = g, t
-        self.w = (K.order - 1).bit_length()
-        self.bits = self.w * g.ambient_dim
+        self.bits = K._width * g.ambient_dim
+        self.pack = K.pack
+        self.unpack = lambda x: K.unpack(x, g.ambient_dim)
         # rep + offset, chosen once per field: encodings of F_{2^e} add by
         # XOR, so packed reps and offsets add with one ^; over odd p they
-        # stay tuples, add by table rows, and the sum is packed
+        # stay tuples and add by table rows, packed in the same loop
         if K.p == 2:
-            self.rep, self.add = self.pack, operator.xor
-        else:
-            self.rep = tuple
-            self.add = lambda r, o: self.pack(flatspace.vec_add(K, r, o))
+            self.rep, self.add = K.pack, operator.xor
+            return
+        add, w = K._add, K._width
 
-    def pack(self, v) -> int:
-        """The digits of v, most significant first; chained rows pack alike."""
-        x, w = 0, self.w
-        for c in v:
-            x = x << w | c
-        return x
-
-    def unpack(self, x: int) -> tuple:
-        """The vector in the low digits of x."""
-        w, mask = self.w, (1 << self.w) - 1
-        return tuple([x >> s & mask for s in range(self.bits - w, -1, -w)])
+        def packed_sum(r, o) -> int:  # K.pack(vec_add(K, r, o)), no tuple
+            x = 0
+            for a, b in zip(r, o):
+                x = x << w | add[a][b]
+            return x
+        self.rep, self.add = tuple, packed_sum
 
     def key(self, f) -> int:
         """The key of a rank-t flat of g."""

@@ -21,7 +21,9 @@ XOR for p = 2; for odd p its rows are built digit by digit from the F_p
 table.  The modulus fixes every product, so the tables, and so every
 block file, do not depend on how they are computed.  The digit strings
 of all q elements and their inverse map are tables too, so writing and
-reading a block file costs one lookup per coordinate.
+reading a block file costs one lookup per coordinate.  pack/unpack are
+the library's one packing of a vector into an int, shared by the subflat
+keys, the point index and decode.
 """
 
 from __future__ import annotations
@@ -176,6 +178,7 @@ class FieldSpec:
         self._digits = [("" if p <= 10 else ",").join(map(str, cs)) for cs in self._coeffs]
         self._by_digits = {s: v for v, s in enumerate(self._digits)}
         self._hash = hash((p, e, modulus))
+        self._width = (q - 1).bit_length()  # bits per packed digit
         self._build_tables()
 
     def _build_tables(self):
@@ -252,6 +255,20 @@ class FieldSpec:
             a = self._mul[a][a]
             n >>= 1
         return result
+
+    def pack(self, v) -> int:
+        """The encodings of v as fixed-width digits of one int, most
+        significant first, so int order is tuple order; over p = 2 packed
+        vectors add by ^.  Chained vectors pack alike."""
+        x, w = 0, self._width
+        for c in v:
+            x = x << w | c
+        return x
+
+    def unpack(self, x: int, d: int) -> tuple:
+        """The d-vector in the low digits of x."""
+        w, mask = self._width, (1 << self._width) - 1
+        return tuple([x >> s & mask for s in range(w * (d - 1), -1, -w)])
 
     def encodings_lex(self) -> tuple:
         """All encodings ordered lexicographically by coefficient tuple."""

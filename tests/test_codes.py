@@ -166,10 +166,12 @@ def test_decoded_family_is_not_kept_alive():
     assert ref() is None
 
 
-DECODE_ORACLE_FAMILIES = {  # family, ranks at which decode is ambiguous
-    "ag32-planes": (lambda: complete_design(AG32, 3), {1, 2}),  # 3 planes per line
-    "s237": (lambda: affine_steiner(2, 3, 2), {1}),
-    "s2-f4": (lambda: affine_steiner(2, 2, 4), {1}),
+DECODE_ORACLE_FAMILIES = {  # family, ranks with an ambiguous / an erased flat
+    "ag32-planes": (lambda: complete_design(AG32, 3), {1, 2}, set()),  # 3 planes per line
+    "s237": (lambda: affine_steiner(2, 3, 2), {1}, {3}),
+    "s2-f4": (lambda: affine_steiner(2, 2, 4), {1}, {3}),
+    # odd q: F_3 digits pack 2 bits wide and add by table rows, not by ^
+    "poly-q3": (lambda: affine_poly_code(3, 2, 2, 2), {1}, {2, 3}),
 }
 
 
@@ -181,9 +183,10 @@ def decode_outcome(decoder, fam, flat):
         return None, type(exc), getattr(exc, "candidates", ())
 
 
-@pytest.mark.parametrize("make, ambiguous_ranks", DECODE_ORACLE_FAMILIES.values(),
-                         ids=DECODE_ORACLE_FAMILIES.keys())
-def test_decode_matches_linear_contains_scan_on_every_flat(make, ambiguous_ranks):
+@pytest.mark.parametrize("make, ambiguous_ranks, erased_ranks",
+                         DECODE_ORACLE_FAMILIES.values(), ids=DECODE_ORACLE_FAMILIES.keys())
+def test_decode_matches_linear_contains_scan_on_every_flat(make, ambiguous_ranks,
+                                                           erased_ranks):
     fam = make()
     # A block holds a flat only if it holds the flat's points, so testing
     # the point sets first skips contains() calls, not hits of the scan.
@@ -208,5 +211,6 @@ def test_decode_matches_linear_contains_scan_on_every_flat(make, ambiguous_ranks
     assert {r for r, exc in seen if exc is Ambiguity} == ambiguous_ranks
     assert (fam.block_rank, None) in seen
     # every line lies in a block (two Steiner S(2,3,n), all planes of AG(3,2)),
-    # so with the ambiguous ranks above each line of s237 and s2-f4 decodes
-    assert (2, Erasure) not in seen
+    # so with the ambiguous ranks above each line of s237 and s2-f4 decodes;
+    # the poly code's lines of no block are erased
+    assert {r for r, exc in seen if exc is Erasure} == erased_ranks

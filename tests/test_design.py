@@ -215,11 +215,12 @@ def test_verify_design_matches_containment_count(name, t):
     lambda: complete_design(affine_geometry(field_new(2, 2), 4), 2),
 ], ids=["S(2,3,7)", "poly-q3", "lines-AG(3,4)"])
 def test_point_blocks_matches_points(make):
-    """The shared-offset index equals one built from each block's points()."""
+    """The shared-offset index equals one built from each block's points(),
+    each point keyed by its FieldSpec.pack int."""
     fam = make()
-    oracle = {}
+    pack, oracle = fam.geometry.field.pack, {}
     for b in fam.blocks:
         for p in b.points():
-            oracle.setdefault(p, []).append(b)
+            oracle.setdefault(pack(p), []).append(b)
     assert fam.point_blocks == oracle
     assert list(fam.point_blocks) == list(oracle)  # same first-seen order

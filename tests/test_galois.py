@@ -239,6 +239,26 @@ def test_digit_tables_match_formula(p, e):
         assert K.parse_digits(s) == v
 
 
+# --- packing: a vector as one int of fixed-width digits -----------------------
+
+@pytest.mark.parametrize("p,e", ORACLE_FIELDS + [(19, 2), (2, 9)])
+def test_pack_round_trips_and_keeps_tuple_order(p, e):
+    K = field_new(p, e)
+    q, w = K.order, (K.order - 1).bit_length()
+    rng = random.Random(f"pack-{p}-{e}")
+    for d in (1, 2, 3):
+        vectors = sorted({(0,) * d, (q - 1,) * d} | {
+            tuple(rng.randrange(q) for _ in range(d)) for _ in range(300)})
+        packed = [K.pack(v) for v in vectors]
+        assert [K.unpack(x, d) for x in packed] == vectors
+        assert packed == sorted(set(packed))  # injective, and int order is tuple order
+        u, v = vectors[1], vectors[-2]
+        assert K.pack(u + v) == K.pack(u) << w * d | K.pack(v)  # chained vectors
+        if p == 2:  # packed vectors over F_{2^e} add by ^
+            assert K.pack([K.add(a, b) for a, b in zip(u, v)]) == K.pack(u) ^ K.pack(v)
+    assert K.pack((1, 0)) == 1 << w and K.unpack(1, 3) == (0, 0, 1)
+
+
 def test_parse_digits_other_spellings():
     F361, F5 = field_new(19, 2), field_new(5)
     assert F361.parse_digits("+1,03") == F361.encode((1, 3))

@@ -146,7 +146,7 @@ def test_flat_family_caches_point_blocks_and_is_weakly_referenced():
     fam = FlatFamily(G, (A,))
     index = fam.point_blocks
     assert fam.point_blocks is index
-    assert sorted(index) == sorted(A.points())
+    assert sorted(index) == sorted(map(F3.pack, A.points()))
     assert pickle.loads(pickle.dumps(fam)).point_blocks == index
     ref = weakref.ref(fam)
     del fam, index
