@@ -171,9 +171,10 @@ def decode(fam: FlatFamily, received):
         hits = [b for b in fam.blocks if b.contains(received)]
     else:
         K, index, rep = g.field, fam.point_blocks, received.rep
-        hits = index.get(K.pack(rep), ())
-        for row in received.dir.rows:
-            on = set(map(id, index.get(K.pack(flatspace.vec_add(K, rep, row)), ())))
+        hits = index.get(x := K.pack(rep), ())
+        for row in received.dir.rows:  # over p = 2 packed vectors add by ^
+            key = x ^ K.pack(row) if K.p == 2 else K.pack(flatspace.vec_add(K, rep, row))
+            on = set(map(id, index.get(key, ())))
             hits = [b for b in hits if id(b) in on]
     if not hits:
         raise Erasure("no block contains the received flat")

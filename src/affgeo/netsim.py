@@ -9,12 +9,13 @@ Randomness comes from SplitMix64, seeded per trial from (seed, trial
 index), so trials are independent substreams and aggregate stats do not
 depend on execution order.
 
-propagate draws coefficients and combines only for nodes whose vectors
-reach the sink, and consumes the same stream as one pass (see its docstring).
+propagate reads a trial's stream from one lane-parallel SplitMix64.peek
+and combines only for nodes whose vectors reach the sink (see its docstring).
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 from . import codes
@@ -26,6 +27,18 @@ RNG_ID = "splitmix64"
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# peek's lanes: output i in bits [128i, 128i + 64) of one int, spill in the 64 above
+_LANES = 64
+_ONES = sum(1 << 128 * i for i in range(_LANES))
+_LM = _ONES * _MASK
+_GIDX = sum(((i + 1) * _GAMMA & _MASK) << 128 * i for i in range(_LANES))
+
+
+def _mix(z: int, mask: int) -> int:
+    """The SplitMix64 output function; on each lane of z if mask is a lane mask."""
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
 
 
 class SplitMix64:
@@ -38,28 +51,32 @@ class SplitMix64:
         return self.below(_MASK + 1)
 
     def below(self, n: int) -> int:
-        """next_u64() % n for n >= 1; the one copy of the SplitMix64 step."""
+        """next_u64() % n for n >= 1; one step of the stream."""
         self.state = z = (self.state + _GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) % n
+        return _mix(z, _MASK) % n
 
     def skip(self, n: int) -> None:
         """Advance past n steps without running the mix: n calls to below."""
         self.state = (self.state + n * _GAMMA) & _MASK
 
+    def peek(self, n: int) -> list:
+        """The next n outputs of next_u64, state unmoved: output i is the mix
+        of state + (i + 1) * _GAMMA, so up to _LANES are mixed in one pass."""
+        out, s = [], self.state
+        for done in range(0, n, _LANES):
+            lanes = min(n - done, _LANES)
+            lm = _LM & (top := (1 << 128 * lanes) - 1)
+            z = _mix((s * (_ONES & top) + (_GIDX & top)) & lm, lm)
+            out += struct.unpack(f"<{2 * lanes}Q", z.to_bytes(16 * lanes, "little"))[::2]
+            s = (s + _LANES * _GAMMA) & _MASK
+        return out
+
     def chance(self, prob: Fraction) -> bool:
-        return self.bernoulli(prob)()
-
-    def bernoulli(self, prob: Fraction):
-        """Bernoulli draws with rational probability prob = a/n, as a function.
-
-        below(n) is u64 % n, which is not exactly uniform: the chance of
-        True differs from a/n by at most n/2^64.  The seeded stream keeps
-        that rather than switch to rejection sampling.
-        """
-        a, n, below = prob.numerator, prob.denominator, self.below  # n > 0
-        return (lambda: below(n) < a) if 0 < a < n else (lambda: a > 0)
+        """below(n) < a for prob = a/n; no draw when prob is 0 or 1.  u64 % n
+        is not exactly uniform, so True's chance differs from a/n by at most
+        n/2^64: the seeded stream keeps that rather than rejection sampling."""
+        a, n = prob.numerator, prob.denominator
+        return self.below(n) < a if 0 < a < n else a > 0
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
@@ -103,17 +120,19 @@ class TrialStats(Record):
         return "\n".join(lines) + "\n"
 
 
+def _affine_coeffs(K, raw) -> list:
+    """Each raw output mod q, then the coefficient that makes the sum 1."""
+    coeffs, total, add = [r % K.order for r in raw], 0, K._add
+    for c in coeffs:
+        total = add[total][c]
+    return coeffs + [add[1][K._neg[total]]]
+
+
 def random_affine_coeffs(rng: SplitMix64, K, s: int):
     """s coefficients summing to 1: first s-1 uniform, last forced."""
     if s < 1:
         raise ValueError("need at least one coefficient")
-    below, q, add = rng.below, K.order, K._add
-    coeffs, total = [], 0
-    for _ in range(s - 1):
-        coeffs.append(c := below(q))
-        total = add[total][c]
-    coeffs.append(add[1][K._neg[total]])
-    return coeffs
+    return _affine_coeffs(K, [rng.next_u64() for _ in range(s - 1)])
 
 
 def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
@@ -123,46 +142,49 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     edge delivers nothing with probability drop_prob or when its tail
     node holds nothing.  A node with no surviving inputs emits nothing.
 
-    Pass 1 makes the picks and drops in stream order, notes each node's
-    inputs and the state its coefficient draws start at, and skips them
-    in O(1): coefficients decide no later draw, so rng ends where one
-    pass leaves it.  Pass 2 draws coefficients from the noted states and
-    combines, only in the ancestor cone of the sink's picks; a node whose
-    coefficients have one nonzero forwards that input.
+    One rng.peek mixes, lane-parallel, every output the trial can read:
+    O(layers * width * indegree) ints, the order of pass 1's input lists.
+    Pass 1 reads picks and drops in stream order, noting and stepping
+    past each node's coefficient offsets (no later draw depends on them),
+    so rng ends as after one pass of below calls.  Pass 2 combines only
+    in the sink's ancestor cone; one nonzero coefficient forwards its input.
     """
     if not sources:
         raise ValueError("propagate needs at least one source vector")
-    below, drop = rng.below, rng.bernoulli(cfg.drop_prob)
-
-    def gather(n_edges, live):
-        got, m = [], len(live)
-        for _ in range(n_edges):
-            j = below(m)
-            if live[j] and not drop():
-                got.append(j)
-        return got
-
-    live, layers = [True] * len(sources), []
-    for _ in range(cfg.layers):
-        ins, starts = [], []
-        for _node in range(cfg.width):
-            ins.append(inputs := gather(cfg.indegree, live))
-            starts.append(rng.state)
-            if len(inputs) > 1:
-                rng.skip(len(inputs) - 1)
+    a, n, d = cfg.drop_prob.numerator, cfg.drop_prob.denominator, cfg.indegree
+    e = 2 if 0 < a < n else 1  # outputs per live edge: its pick, then its drop
+    z = rng.peek(cfg.layers * cfg.width * (d * e + d - 1) + cfg.sink_indegree * e)
+    k, live, layers = 0, [True] * len(sources), []
+    for width, deg in [(cfg.width, d)] * cfg.layers + [(1, cfg.sink_indegree)]:
+        ins, starts, m = [], [], len(live)
+        for _node in range(width):
+            got = []
+            for _ in range(deg):
+                j, k = z[k] % m, k + 1
+                if live[j] and e == 2:
+                    k += 1
+                    if z[k - 1] % n >= a:
+                        got.append(j)
+                elif live[j] and not a:  # p = 0 keeps every edge, p = 1 none
+                    got.append(j)
+            ins.append(got)
+            starts.append(k)
+            if got:
+                k += len(got) - 1
         layers.append((ins, starts))
         live = ins  # a node is live iff its input list is non-empty
-    sink = gather(cfg.sink_indegree, live)
+    (sink,), (end,) = layers.pop()  # the sink draws no coefficients
+    rng.skip(end)
 
     cones = [set(sink)]
     for ins, _ in reversed(layers[1:]):
         cones.append({j for i in cones[-1] for j in ins[i]})
-    vals, coeff_rng, zero = sources, SplitMix64(0), (0,) * len(sources[0])
+    vals, zero = sources, (0,) * len(sources[0])
     for (ins, starts), cone in zip(layers, reversed(cones)):
         vals_next, get = {}, vals.__getitem__
         for i in cone:
-            coeff_rng.state = starts[i]
-            lam = random_affine_coeffs(coeff_rng, spec, len(ins[i]))
+            at = starts[i]
+            lam = _affine_coeffs(spec, z[at:at + len(ins[i]) - 1])
             if lam.count(0) == len(lam) - 1:  # the sum is 1, so the lone nonzero is 1
                 vals_next[i] = get(ins[i][lam.index(1)])
             else:
@@ -173,10 +195,7 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
 
 def _block_generators(block):
     """k affinely independent points: rep and rep + each basis row."""
-    pts = [block.rep]
-    for row in block.dir.rows:
-        pts.append(vec_add(block.spec, block.rep, row))
-    return pts
+    return [block.rep] + [vec_add(block.spec, block.rep, row) for row in block.dir.rows]
 
 
 def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,

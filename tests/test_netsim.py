@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affgeo import (NetworkConfig, SplitMix64, affine_poly_code, affine_steiner,
@@ -254,8 +254,18 @@ def dag_cases(draw):
     return cfg, K, sources, draw(st.integers(0, 2 ** 64 - 1))
 
 
+# Wide DAGs whose draws span several 64-lane peek passes, with the
+# drop-free branches p = 0 and p = 1 and one with drop draws.
+WIDE = dict(layers=4, width=8, indegree=3, sink_indegree=4)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(dag_cases())
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(0)), F2,
+          [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 7))
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(1)), F2, [(0, 1), (1, 1)], 2 ** 64 - 1))
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(1, 3)), field_new(19),
+          [(0, 0), (3, 1), (18, 7)], 0))
 def test_propagate_matches_one_pass_oracle(case):
     cfg, K, sources, seed = case
     new, old = SplitMix64(seed), SplitMix64(seed)
@@ -273,3 +283,19 @@ def test_skip_is_n_draws(n, seed):
         stepped.below(7)
     assert skipped.state == stepped.state
     assert skipped.next_u64() == stepped.next_u64()
+
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("state", [0, 5, 2 ** 64 - 1, 2 ** 64 - GAMMA])
+def test_peek_is_the_next_n_outputs(n, state):
+    rng, twin = SplitMix64(state), SplitMix64(state)
+    assert rng.peek(n) == list(_splitmix64_outputs(state, n))
+    assert rng.state == state  # peek does not move the state
+    drawn = [twin.below(2 ** 64) for _ in range(n)]
+    assert rng.peek(n) == drawn
+    rng.skip(n)
+    assert rng.state == twin.state
+    assert rng.next_u64() == twin.next_u64()
