@@ -15,9 +15,16 @@ constant coefficient first (comma-joined digits when p > 10).  Blocks
 are sorted by canonical form, so parse(render(x)) == x and files diff
 cleanly.  render(parse(text)) == text holds for canonical text only:
 parse also accepts blocks out of order and dir rows not in RREF, which
-render then writes in canonical form.  Within one call, each distinct
-coordinate line is read, each distinct vector spelled and each distinct
-dir row set canonicalised once, so parallel blocks share one subspace.
+render then writes in canonical form.  render spells each distinct
+vector once.
+
+parse works in three grains.  Once per line: a dict lookup of its text;
+each distinct line is read once.  Once per direction: the dir lines that
+parallel blocks repeat are one cache key, read once, and give one shared
+canonical subspace.  Once per block: a slice of its lines, a few checks
+and the AffineFlat, whose rep is reduced only if it is nonzero on the
+direction's pivots (one int AND).  Errors come in line order, as a
+line-at-a-time reader meets them.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
 from .galois import FieldError, field_new
 
 MAGIC = "affgeo v1"
+BLOCK = ("block", None, 0, None)  # what parse reads from every block line
 
 
 class ParseError(ValueError):
@@ -68,7 +76,7 @@ def render(fam: FlatFamily) -> str:
 
 
 def parse(text: str) -> FlatFamily:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(str.strip, text.splitlines()))
     if not lines or lines[0] != MAGIC:
         raise ParseError(f"missing header {MAGIC!r}")
     try:
@@ -91,50 +99,79 @@ def parse(text: str) -> FlatFamily:
     except GeometryError as exc:
         raise ParseError(str(exc)) from exc
     d = g.ambient_dim
+    affine = kind == "affine"
 
-    blocks = []
-    rep = None
-    rows = []
-    in_block = False
-    vec = functools.cache(lambda ln: _parse_vec(K, ln.split()[1:]))  # for this call
-    span = functools.cache(lambda rows: LinearSubspace.from_rows(K, d, rows))
-
-    def flush():
-        if not in_block:
-            return
-        try:
-            if kind == "affine":
-                if rep is None:
-                    raise ParseError("affine block without rep line")
-                blocks.append(AffineFlat.coset(rep, span(tuple(rows))))
-            else:
-                blocks.append(span(tuple(rows)))
-        except ParseError:
-            raise
-        except Exception as exc:
-            raise ParseError(f"bad block: {exc}") from exc
-
-    for ln in lines[3:]:
+    @functools.cache  # for this call: each distinct line is read once
+    def line(ln):
+        """(record, vector, support, error).  record is "block", "rep" or
+        "dir"; it is None for a line that is wrong in any block, with the
+        error.  A vector's support has bit c set where coordinate c is not 0."""
         record = ln.split(None, 1)[0]
         if record == "block":
-            flush()
-            in_block, rep, rows = True, None, []
-        elif record == "rep":
-            if not in_block or kind != "affine":
-                raise ParseError("unexpected rep line")
-            rep = vec(ln)
-            if len(rep) != d:
-                raise ParseError(f"rep has {len(rep)} coordinates, expected {d}")
-        elif record == "dir":
-            if not in_block:
-                raise ParseError("dir line outside a block")
-            row = vec(ln)
-            if len(row) != d:
-                raise ParseError(f"dir has {len(row)} coordinates, expected {d}")
-            rows.append(row)
-        else:
-            raise ParseError(f"unknown record {record!r}")
-    flush()
+            return BLOCK
+        if record not in ("rep", "dir"):
+            return None, None, 0, f"unknown record {record!r}"
+        if record == "rep" and not affine:
+            return None, None, 0, "unexpected rep line"
+        try:
+            v = _parse_vec(K, ln.split()[1:])
+        except ParseError as exc:
+            return None, None, 0, str(exc)
+        if len(v) != d:
+            return None, None, 0, f"{record} has {len(v)} coordinates, expected {d}"
+        return record, v, sum(1 << c for c, x in enumerate(v) if x), None
+
+    span = functools.cache(lambda rows: LinearSubspace.from_rows(K, d, rows))
+
+    @functools.cache  # for this call: each distinct run of lines once
+    def part(run):
+        """(error, last rep line's record, span of the dir rows, its pivot
+        bits) of some of a block's lines, in order."""
+        rep, rows = None, []
+        for ln in run:
+            record, v, _, error = rec = line(ln)
+            if error:
+                return error, None, None, 0
+            if record == "rep":
+                rep = rec
+            else:
+                rows.append(v)
+        try:
+            D = span(tuple(rows))
+        except Exception as exc:  # raised for the block after its rep check
+            return None, rep, exc, 0
+        return None, rep, D, sum(1 << c for c in D.pivots)
+
+    body = lines[3:]
+    del lines  # body holds the text's lines; they are dropped before the family check
+    recs = [*map(line, body), BLOCK]  # a last block line ends the last block
+    starts = [i for i, rec in enumerate(recs) if rec is BLOCK]
+    if starts[0]:  # a record before the first block
+        record = body[0].split(None, 1)[0]
+        raise ParseError({"rep": "unexpected rep line",
+                          "dir": "dir line outside a block"}.get(
+                              record, f"unknown record {record!r}"))
+    blocks = []
+    for i, j in zip(starts, starts[1:]):
+        # the usual block is a rep line, then the dir lines that its parallel
+        # blocks repeat: that run of lines is one cache key, read once
+        head = recs[i + 1]
+        usual = head[0] == "rep"
+        error, last, D, pivots = part(tuple(body[i + 1 + usual:j]))
+        if error:
+            raise ParseError(error)
+        rep = last or (head if usual else None)
+        if affine and rep is None:
+            raise ParseError("affine block without rep line")
+        if D.__class__ is not LinearSubspace:
+            raise ParseError(f"bad block: {D}") from D
+        if not affine:
+            blocks.append(D)
+        elif rep[2] & pivots:
+            blocks.append(AffineFlat.coset(rep[1], D))
+        else:  # already canonical: zero on the direction's pivots
+            blocks.append(AffineFlat(K, d, rep[1], D))
+    del body, recs, starts
     try:
         return FlatFamily(g, tuple(blocks))
     except Exception as exc:

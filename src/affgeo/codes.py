@@ -154,8 +154,10 @@ def decode(fam: FlatFamily, received):
     further point rep + row, each point looked up by its FieldSpec.pack
     key in fam.point_blocks.  Those points are affinely independent, so
     a block through all of them contains their closure, the received
-    flat; the intersection is the containment test.  Candidates keep the
-    order of fam.blocks.
+    flat; the intersection is the containment test.  Once at most one
+    candidate is left, it is looked for by id among the blocks through
+    the next point, with no set built.  Candidates keep the order of
+    fam.blocks.
 
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
@@ -174,8 +176,12 @@ def decode(fam: FlatFamily, received):
         hits = index.get(x := K.pack(rep), ())
         for row in received.dir.rows:  # over p = 2 packed vectors add by ^
             key = x ^ K.pack(row) if K.p == 2 else K.pack(flatspace.vec_add(K, rep, row))
-            on = set(map(id, index.get(key, ())))
-            hits = [b for b in hits if id(b) in on]
+            on = index.get(key, ())
+            if len(hits) < 2:  # at most one candidate: look for it, build no set
+                hits = [b for b in hits if id(b) in map(id, on)]
+            else:
+                on = set(map(id, on))
+                hits = [b for b in hits if id(b) in on]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, deque
 from functools import cache, cached_property
 from typing import TYPE_CHECKING
 
@@ -38,16 +38,46 @@ class DesignError(ValueError):
     pass
 
 
+_spec, _d, _dir, _rep, _pivots, _rows = map(
+    operator.attrgetter, ("spec", "d", "dir", "rep", "pivots", "rows"))
+
+
 class FlatFamily(Record):
-    """A uniform-rank family of flats in one geometry (design, code, spread)."""
+    """A uniform-rank family of flats in one geometry (design, code, spread).
+
+    The check that blocks are distinct and of one rank groups blocks of one
+    flat class by the ids of their field, d and direction objects (for a
+    LinearSubspace block, its pivots), which parallel blocks share after
+    parse and construct.  Groups equal by value are merged, each hashed
+    once; in a merged group, blocks are equal when their reps (rows) are,
+    and flat_rank runs once per group.  Mixed or foreign classes are
+    checked block by block.  Errors come as a per-block check raises them:
+    a duplicate first, then a block foreign to the geometry, then ranks.
+    """
 
     # __dict__ holds the cached point_blocks; families stay weakly referenceable
     __slots__ = ("geometry", "blocks", "__dict__", "__weakref__")
 
     def __post_init__(self):
-        if len(set(self.blocks)) != len(self.blocks):
+        blocks, kinds = self.blocks, set(map(type, self.blocks))
+        if kinds == {AffineFlat} or kinds == {LinearSubspace}:
+            affine, shared = (True, _dir) if AffineFlat in kinds else (False, _pivots)
+
+            def raw():  # each block's group key, made twice rather than kept
+                return zip(map(id, map(_spec, blocks)), map(_d, blocks),
+                           map(id, map(_dir, blocks)) if affine else map(_pivots, blocks))
+            groups, merged = dict(zip(raw(), blocks)), {}
+            reps = {k: merged.setdefault((b.spec, b.d, shared(b)), set())
+                    for k, b in groups.items()}  # one set of reps per merged group
+            deque(map(set.add, map(reps.__getitem__, raw()),
+                      map(_rep if affine else _rows, blocks)), 0)
+            distinct = sum(map(len, merged.values())) == len(blocks)
+            ranked = groups.values()
+        else:  # no blocks, or blocks of mixed or foreign classes: one at a time
+            distinct, ranked = len(set(blocks)) == len(blocks), blocks
+        if not distinct:
             raise DesignError("blocks must be pairwise distinct")
-        ranks = {flat_rank(b, self.geometry) for b in self.blocks}
+        ranks = {flat_rank(b, self.geometry) for b in ranked}
         if len(ranks) > 1:
             raise DesignError(f"blocks have mixed ranks {sorted(ranks)}")
 
@@ -60,18 +90,23 @@ class FlatFamily(Record):
     @cached_property
     def point_blocks(self) -> dict:
         """Point -> blocks through it (affine families), built on first use.
-        Points are keyed by FieldSpec.pack ints.  Each direction's vectors
-        are converted once; a block's points are its rep plus each of them,
-        added as in FlatKeys (one ^ over p = 2), in the order of points()."""
+        Points are keyed by FieldSpec.pack ints.  Each direction object's
+        vectors are converted once, found by id, as parallel blocks share
+        it; a block's points are its rep plus each of them, added as in
+        FlatKeys (one ^ over p = 2), in the order of points()."""
         keys = FlatKeys(self.geometry, 1)
-        rep, add = keys.rep, keys.add
-        index, offsets = {}, cache(lambda D: [rep(v) for v in D.vectors()])
+        rep, add = cache(keys.rep), keys.add
+        index, offsets = {}, {}
         for b in self.blocks:
-            if b.is_empty:
+            if b.rep is None:  # the empty flat
                 continue
+            D = b.dir
+            o = offsets.get(id(D))
+            if o is None:
+                o = offsets[id(D)] = [keys.rep(v) for v in D.vectors()]
             r = rep(b.rep)
-            for o in offsets(b.dir):
-                index.setdefault(add(r, o), []).append(b)
+            for x in o:
+                index.setdefault(add(r, x), []).append(b)
         return index
 
     def sorted(self) -> "FlatFamily":
@@ -221,8 +256,9 @@ class FlatKeys:
     def subflats(self, fam: FlatFamily):
         """Per block of fam, the keys of its rank-t subflats in subflats() order.
 
-        Each block direction D's lifted shapes and coset offsets c*D.rows
-        are packed once; a block then adds its packed rep to each offset.
+        Each direction object D's lifted shapes and coset offsets c*D.rows
+        are packed once, found by id(D); a block then adds its packed rep
+        to each offset.
         """
         g, t = self.g, self.t
         shapes = subflat_shapes(g, fam.block_rank, t)
@@ -235,17 +271,17 @@ class FlatKeys:
                 yield [0]
             return
         K, zero, bits = g.field, (0,) * g.ambient_dim, self.bits
-
-        @cache
-        def parts(D):
-            return [(self.pack(itertools.chain(*T.rows)) << bits,
+        rep, add, parts = cache(self.rep), self.add, {}  # parts by id(dir)
+        for b in fam.blocks:
+            D = b.dir
+            dir_parts = parts.get(id(D))
+            if dir_parts is None:
+                dir_parts = parts[id(D)] = [
+                    (self.pack(itertools.chain(*T.rows)) << bits,
                      [self.rep(combine(K, zero, c, D.rows)) for c in cs])
                     for T, (_, cs) in zip(shapes.lift(D), shapes)]
-
-        rep, add = self.rep, self.add
-        for b in fam.blocks:
             r, keys = rep(b.rep), []
-            for dir_key, offsets in parts(b.dir):
+            for dir_key, offsets in dir_parts:
                 keys += sorted([dir_key | add(r, o) for o in offsets])
             yield keys
 

@@ -171,7 +171,7 @@ class LinearSubspace(Record):
                 for coeffs in itertools.product(K.encodings_lex(), repeat=self.dim)]
 
     def sort_key(self):
-        return (self.dim, self.pivots, self.rows)
+        return (len(self.rows), self.pivots, self.rows)
 
     def __repr__(self):
         return f"LinearSubspace(dim={self.dim} of F^{self.d})"
@@ -250,9 +250,10 @@ class AffineFlat(Record):
                 for coeffs in itertools.product(K.encodings_lex(), repeat=len(rows))]
 
     def sort_key(self):
-        if self.is_empty:
+        if self.rep is None:
             return (0, (), (), ())
-        return (self.rank, self.dir.pivots, self.rep, self.dir.rows)
+        D = self.dir
+        return (len(D.rows) + 1, D.pivots, self.rep, D.rows)
 
     def __repr__(self):
         if self.is_empty:
