@@ -16,20 +16,27 @@ The tables are log/antilog tables (Lidl & Niederreiter, *Finite Fields*,
 ch. 9).  The least primitive element g, by encoding, is found by walking
 each candidate's powers with polynomial multiplication, at most q - 1
 products per candidate instead of the q^2 of a direct fill.  Then
-a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)].  Addition is
-XOR for p = 2; for odd p its rows are built digit by digit from the F_p
-table.  The modulus fixes every product, so the tables, and so every
-block file, do not depend on how they are computed.  The digit strings
-of all q elements and their inverse map are tables too, so writing and
-reading a block file costs one lookup per coordinate.  pack/unpack are
-the library's one packing of a vector into an int, shared by the subflat
-keys, the point index and decode.
+a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)],
+so each mul row, and the neg row, is one itemgetter gather of log from a
+slice of the doubled exp list.  Addition is digitwise mod p: the add row
+of a + c*p^k (a < p^k) is the row of a with each p^(k+1)-block rotated
+left by c*p^k (for p = 2, its two halves swapped), and row 0 is
+list(range(q)).  So every row is built by C-level gathers and slices, no
+cell by Python bytecode, and every cell of every table is one of q shared
+int objects.  The modulus fixes every product, so the tables, and so
+every block file, do not depend on how they are computed.  The digit
+strings of all q elements and their inverse map are tables too, so
+writing and reading a block file costs one lookup per coordinate.
+pack/unpack are the library's one packing of a vector into an int,
+shared by the subflat keys, the point index and decode.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 ORDER_LIMIT = 512
 
@@ -173,7 +180,7 @@ class FieldSpec:
         self.e = e
         self.order = q = p ** e
         self.modulus = modulus
-        self._coeffs = [tuple((v // p ** i) % p for i in range(e)) for v in range(q)]
+        self._coeffs = [cs[::-1] for cs in itertools.product(range(p), repeat=e)]
         self._lex = tuple(sorted(range(q), key=self._coeffs.__getitem__))
         self._digits = [("" if p <= 10 else ",").join(map(str, cs)) for cs in self._coeffs]
         self._by_digits = {s: v for v, s in enumerate(self._digits)}
@@ -183,24 +190,28 @@ class FieldSpec:
 
     def _build_tables(self):
         p, q = self.p, self.order
-        exp = self._primitive_powers()
+        vals = list(range(q))
+        exp = [*map(vals.__getitem__, self._primitive_powers())]  # vals' objects, not new ints
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
         exp2, nz = exp + exp, log[1:]  # exp2[i + j] needs no reduction mod q - 1
-        self._mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in nz] for la in nz]
+        gather = itemgetter(*log)  # q >= 2 indices give a tuple, never a scalar
+
+        def row(shift):  # cell b > 0 is exp2[shift + log b]: the product by exp[shift]
+            r = list(gather(exp2[shift:shift + q - 1]))
+            r[0] = 0
+            return r
+
+        self._mul = [[0] * q] + [row(la) for la in nz]
         self._inv = [0] + [exp[-la] for la in nz]
-        log_neg_one = 0 if p == 2 else (q - 1) // 2
-        self._neg = [0] + [exp2[la + log_neg_one] for la in nz]
-        if p == 2:
-            self._add = [[a ^ b for b in range(q)] for a in range(q)]
-            return
-        digit = [[(x + y) % p for y in range(p)] for x in range(p)]
-        add, n = digit, p
-        while n < q:  # append a most significant digit: a = n * a_top + a_low
-            top = [[n * d for d in row] for row in digit]
-            add = [[t + v for t in top[at] for v in low] for at in range(p) for low in add]
-            n *= p
+        self._neg = row(0 if p == 2 else (q - 1) // 2)  # the product by -1
+        add, n = [vals], 1
+        while n < q:  # row s + a (s = c * n, a < n): row a, each p*n-block rotated left by s
+            w = p * n
+            add += [list(chain.from_iterable(r[i + s:i + w] + r[i:i + s] for i in range(0, q, w)))
+                    for s in range(n, w, n) for r in add[:n]]
+            n = w
         self._add = add
 
     def _primitive_powers(self) -> list:
@@ -394,7 +405,10 @@ class Embedding:
 
     The image field is an F_q-vector space of dimension m with fixed
     basis {1, beta, ..., beta^(m-1)}, where beta is the canonical
-    generator (the residue of X) of the big field.
+    generator (the residue of X) of the big field.  from_vector_enc sums
+    coordinate times basis element; __init__ applies it, by F_q-linearity
+    at one field add per vector, to all q^m vectors and inverts the
+    result, so to_vector_enc is one lookup in a table of q^m tuples.
     """
 
     def __init__(self, sub: FieldSpec, sup: FieldSpec):
@@ -411,7 +425,12 @@ class Embedding:
         beta = sup.p if sup.e > 1 else 1  # encoding of X (or of 1 in a prime field)
         self.beta = beta
         self.beta_pows = [sup.pow(beta, j) for j in range(self.m)]
-        self._setup_coords()
+        images = [0]  # from_vector_enc of each vector, in itertools.product order
+        for bp in reversed(self.beta_pows):  # the last coordinate varies fastest
+            steps = [sup.mul(self.map_enc(c), bp) for c in range(sub.order)]
+            images = [sup._add[s][x] for s in steps for x in images]
+        vectors = itertools.product(range(sub.order), repeat=self.m)
+        self._vectors = [v for _, v in sorted(zip(images, vectors))]
 
     def _find_root(self) -> int:
         """Smallest root (by encoding) of the subfield modulus inside sup."""
@@ -427,23 +446,6 @@ class Embedding:
             if acc == 0:
                 return cand
         raise FieldError("modulus has no root in the extension")  # unreachable
-
-    def _setup_coords(self):
-        sup, sub = self.sup, self.sub
-        # basis of sup over F_p: {embed(x^i) * beta^j}; columns indexed (j, i)
-        cols = []
-        for j in range(self.m):
-            for i in range(sub.e):
-                v = sup.mul(self._sub_basis_img[i], self.beta_pows[j])
-                cols.append(sup.decode(v))
-        e = sup.e
-        aug = [[cols[c][r] for c in range(e)] + [int(i == r) for i in range(e)]
-               for r in range(e)]
-        from .flatspace import rref_rows  # flatspace imports this module
-        rows, pivots = rref_rows(field_new(sup.p, 1), aug, e)
-        if len(pivots) != e:
-            raise FieldError("singular matrix in embedding setup")
-        self._coord_inv = [row[e:] for row in rows]
 
     def map_enc(self, a: int) -> int:
         """Embed a subfield encoding into the big field."""
@@ -461,13 +463,7 @@ class Embedding:
 
     def to_vector_enc(self, a: int) -> tuple:
         """Big-field encoding -> tuple of m subfield encodings (beta-basis coords)."""
-        target = self.sup.decode(a)
-        p = self.sup.p
-        flat = [sum(r * t for r, t in zip(row, target)) % p for row in self._coord_inv]
-        out = []
-        for j in range(self.m):
-            out.append(self.sub.encode(tuple(flat[j * self.sub.e:(j + 1) * self.sub.e])))
-        return tuple(out)
+        return self._vectors[a]
 
     def from_vector_enc(self, coords) -> int:
         acc = 0

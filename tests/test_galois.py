@@ -5,6 +5,7 @@ import pytest
 
 from affgeo import (FieldError, elem, elements, embed, field_new,
                     field_of_order)
+from affgeo.flatspace import rref_rows
 
 
 def test_prime_field_basics():
@@ -225,6 +226,52 @@ def test_tables_match_polynomial_oracle_sampled(p, e):
     assert all(mul(a, K.inv(a)) == 1 for a in range(1, q))
     assert K.encodings_lex() == tuple(sorted(range(q), key=lambda v: tuple(
         (v // p ** i) % p for i in range(e))))
+
+
+@pytest.mark.parametrize("p,e", [(2, 9), (19, 2), (7, 3)])
+def test_table_cells_share_one_int_per_value(p, e):
+    K = field_new(p, e)
+    one = {}  # value -> the first object seen for it
+    cells = [x for table in (K._add, K._mul) for row in table for x in row]
+    assert all(one.setdefault(x, x) is x for x in cells + K._neg + K._inv)
+    assert sorted(one) == list(range(K.order))
+
+
+# --- coordinate map oracle: the per-call matrix product over F_p ---------------
+
+def oracle_to_vector_enc(emb):
+    """to_vector_enc as one matrix product per call: the F_p-coordinates of
+    a big-field element under the inverse of the matrix whose columns are
+    the basis {embed(x^i) * beta^j}, regrouped into m subfield encodings."""
+    sub, sup = emb.sub, emb.sup
+    p, e, E = sup.p, sub.e, sup.e
+    cols = [sup.decode(sup.mul(emb.map_enc(p ** i), bp))
+            for bp in emb.beta_pows for i in range(e)]
+    aug = [[cols[c][r] for c in range(E)] + [int(i == r) for i in range(E)]
+           for r in range(E)]
+    rows, pivots = rref_rows(field_new(p), aug, E)
+    assert len(pivots) == E
+    coord_inv = [row[E:] for row in rows]
+
+    def to_vector_enc(a):
+        target = sup.decode(a)
+        flat = [sum(r * t for r, t in zip(row, target)) % p for row in coord_inv]
+        return tuple(sub.encode(flat[j * e:(j + 1) * e]) for j in range(emb.m))
+
+    return to_vector_enc
+
+
+EMBEDDINGS = [(p, e, m) for p in (2, 3, 5, 7, 11, 13, 17, 19) for e in range(1, 10)
+              for m in range(1, 10) if p ** (e * m) <= 512 and (e * m > 1 or p <= 3)]
+
+
+@pytest.mark.parametrize("p,e,m", EMBEDDINGS)
+def test_to_vector_enc_matches_matrix_product(p, e, m):
+    emb = embed(field_new(p, e), field_new(p, e * m))
+    oracle = oracle_to_vector_enc(emb)
+    for a in range(emb.sup.order):
+        assert emb.to_vector_enc(a) == oracle(a)
+        assert emb.from_vector_enc(emb.to_vector_enc(a)) == a
 
 
 # --- digit tables: same strings and same accepted spellings as the parser ------
