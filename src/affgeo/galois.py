@@ -191,7 +191,7 @@ class FieldSpec:
     def _build_tables(self):
         p, q = self.p, self.order
         vals = list(range(q))
-        exp = [*map(vals.__getitem__, self._primitive_powers())]  # vals' objects, not new ints
+        exp = [*map(vals.__getitem__, self._primitive_powers())]  # vals' ints, not new ones
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
@@ -207,9 +207,10 @@ class FieldSpec:
         self._inv = [0] + [exp[-la] for la in nz]
         self._neg = row(0 if p == 2 else (q - 1) // 2)  # the product by -1
         add, n = [vals], 1
-        while n < q:  # row s + a (s = c * n, a < n): row a, each p*n-block rotated left by s
+        while n < q:  # row s + a (s = c*n, a < n): row a, each p*n-block rotated left by s
             w = p * n
-            add += [list(chain.from_iterable(r[i + s:i + w] + r[i:i + s] for i in range(0, q, w)))
+            add += [list(chain.from_iterable(r[i + s:i + w] + r[i:i + s]
+                                             for i in range(0, q, w)))
                     for s in range(n, w, n) for r in add[:n]]
             n = w
         self._add = add
