@@ -4,6 +4,11 @@ Exit codes: 0 ok, 2 bad parameters, 3 enumeration guard exceeded,
 4 parse error, 5 verification failure.  All reports are line-oriented
 key=value text with exact numbers (rationals as "p/q").
 
+USAGE is both the -h text, which lists every command and option, and the
+grammar by which parse_args accepts and rejects what argparse did (unique
+prefixes of option names included).  A bad argv prints one "error: ..."
+line and exits 2.
+
 AFFGEO_THREADS is accepted for compatibility with parallel runners; the
 library is pure and single-process, so it caps a worker count that is
 currently always one.
@@ -13,10 +18,8 @@ Each subcommand imports only the library layers it runs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from pathlib import Path
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -32,15 +35,16 @@ class CliError(Exception):
 
 
 def _write_atomic(path: str, text: str):
-    tmp = Path(path).with_suffix(Path(path).suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 def _load_family(path: str):
     from . import blockfile
     try:
-        return blockfile.parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            return blockfile.parse(fh.read())
     except OSError as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except blockfile.ParseError as exc:
@@ -72,18 +76,15 @@ def _construct_family(args):
             return construct.affine_steiner(args.k, args.l, args.q)
         if args.construction == "poly-code":
             return construct.affine_poly_code(args.q, args.m, args.l, args.t)
-        if args.construction == "complete":
-            if args.kind == "affine" and args.k == 0:
-                raise CliError(EXIT_PARAMS, "k=0 is the empty flat, which a "
-                                            "block file cannot hold")
-            field = field_of_order(args.q)
-            g = flatspace.GeometrySpec(args.kind, field, args.n)
-            return design.complete_design(g, args.k)
+        if args.kind == "affine" and args.k == 0:  # the construction is "complete"
+            raise CliError(EXIT_PARAMS, "k=0 is the empty flat, which a "
+                                        "block file cannot hold")
+        field = field_of_order(args.q)
+        return design.complete_design(flatspace.GeometrySpec(args.kind, field, args.n), args.k)
     except flatspace.GuardExceeded as exc:
         raise CliError(EXIT_GUARD, str(exc)) from exc
     except (construct.ConstructError, FieldError, ValueError) as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
-    raise CliError(EXIT_PARAMS, f"unknown construction {args.construction}")
 
 
 def cmd_construct(args) -> int:
@@ -133,14 +134,10 @@ def cmd_expand(args) -> int:
     try:
         if args.mode == "subspace":
             cd = design.expand_subspace_design(fam)
-        elif args.mode == "affine-2":
-            cd = design.expand_affine_design(fam, 2)
-        elif args.mode == "affine-3":
-            cd = design.expand_affine_design(fam, 3)
         elif args.mode == "ev11":
             cd = design.ev11_compose(fam)
-        else:
-            raise CliError(EXIT_PARAMS, f"unknown mode {args.mode}")
+        else:  # affine-2 or affine-3
+            cd = design.expand_affine_design(fam, int(args.mode[-1]))
     except design.DesignError as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
     _write_atomic(args.out, blockfile.render_classical(cd))
@@ -167,67 +164,121 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="affgeo",
-        description="Designs and small-intersection codes in affine and "
-                    "projective geometry over small finite fields.")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: affgeo COMMAND ... [-h]; any unique prefix of an option name works
+affgeo construct spread --q INT --n INT --k INT --out PATH
+affgeo construct affine-steiner --q INT --k INT --l INT --out PATH
+affgeo construct poly-code --q INT --m INT --l INT --t INT --out PATH
+affgeo construct complete --q INT --kind affine|projective --n INT --k INT --out PATH
+affgeo verify INFILE --t INT
+affgeo analyze INFILE
+affgeo expand INFILE --mode subspace|affine-2|affine-3|ev11 --out PATH
+affgeo simulate CODE --trials INT [--seed INT=0] [--layers INT=1] [--width INT=4]
+        [--indegree INT=2] [--drop-prob P=0] [--sink-indegree INT=4] [--forced-deletions INT]
+"""
+LEVELS = ("command", "construction")  # the attributes naming the command words
 
-    c = sub.add_parser("construct", help="build a flat family and write a block file")
-    cs = c.add_subparsers(dest="construction", required=True)
 
-    spread = cs.add_parser("spread", help="Desarguesian spread S(1,k,n)")
-    spread.add_argument("--q", type=int, required=True)
-    spread.add_argument("--n", type=int, required=True)
-    spread.add_argument("--k", type=int, required=True)
-    spread.add_argument("--out", required=True)
+class Args:
+    """A parsed argv: one attribute per argument, named as the handlers read them."""
 
-    st = cs.add_parser("affine-steiner", help="affine Steiner system S(2,k+1,kl+1)")
-    st.add_argument("--q", type=int, required=True)
-    st.add_argument("--k", type=int, required=True)
-    st.add_argument("--l", type=int, required=True)
-    st.add_argument("--out", required=True)
 
-    pc = cs.add_parser("poly-code", help="affine-polynomial graph code")
-    pc.add_argument("--q", type=int, required=True)
-    pc.add_argument("--m", type=int, required=True)
-    pc.add_argument("--l", type=int, required=True)
-    pc.add_argument("--t", type=int, required=True)
-    pc.add_argument("--out", required=True)
+def _value(spec: str, text: str):
+    """text as a value of type spec: INT, a|b|... (one of these), else a string."""
+    if text == "--":  # as argparse reads --opt=--; parse_args rejects it unless repeated
+        return []
+    if "|" in spec and text not in spec.split("|"):
+        raise ValueError(text)
+    return int(text) if spec == "INT" else text
 
-    comp = cs.add_parser("complete", help="all rank-k flats of AG/PG")
-    comp.add_argument("--q", type=int, required=True)
-    comp.add_argument("--kind", choices=["affine", "projective"], required=True)
-    comp.add_argument("--n", type=int, required=True, help="geometry rank")
-    comp.add_argument("--k", type=int, required=True)
-    comp.add_argument("--out", required=True)
 
-    v = sub.add_parser("verify", help="check the design property at level t")
-    v.add_argument("infile")
-    v.add_argument("--t", type=int, required=True)
+def _grammar() -> dict:
+    """USAGE's lines as {command words: (positional or None,
+    {option: (attribute, type, default, required)})}."""
+    rules = {}
+    for line in USAGE.replace("\n        ", " ").splitlines()[1:]:
+        words = line.split()[1:]
+        n = next(i for i, w in enumerate(words) if not w[0].islower())
+        pos = words.pop(n).lower() if words[n].isupper() else None
+        rules[tuple(words[:n])] = pos, (opts := {})
+        for name, spec in zip(words[n::2], words[n + 1::2]):  # --name TYPE or [--name TYPE=d]
+            spec, _, default = spec.strip("]").partition("=")
+            opts[name.strip("[")] = (name.strip("[-").replace("-", "_"), spec,
+                                     _value(spec, default) if default else None, name[0] != "[")
+    return rules
 
-    a = sub.add_parser("analyze", help="parallel classes, meets, radius")
-    a.add_argument("infile")
 
-    e = sub.add_parser("expand", help="derive the classical design")
-    e.add_argument("infile")
-    e.add_argument("--mode", choices=["subspace", "affine-2", "affine-3", "ev11"],
-                   required=True)
-    e.add_argument("--out", required=True)
+def _option(tok: str, names) -> tuple:
+    """How argparse reads tok given the option names: (option, value after
+    "=" or None); option is "" for a plain value and None for an unknown one."""
+    name, eq, value = tok.partition("=")
+    if tok in names or eq and name in names:
+        return name, value if eq else None
+    if tok[:1] != "-" or len(tok) == 1:
+        return "", None
+    if tok[1] == "h":  # -hX is -h given the value X
+        return "-h", tok[2:]
+    hits = [o for o in names if o.startswith(name)] if tok[1] == "-" else []
+    if len(hits) > 1:
+        raise CliError(EXIT_PARAMS, f"ambiguous option: {name} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    num = tok[1:].removesuffix("\n")  # as argparse, ^-\d+$|^-\d*\.\d+$ is a value
+    whole, _, frac = num.partition(".")
+    return ("" if num.isdecimal() or (whole + "0").isdecimal() and frac.isdecimal()
+            or " " in tok else None), None
 
-    s = sub.add_parser("simulate", help="random affine network coding trials")
-    s.add_argument("code")
-    s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--layers", type=int, default=1)
-    s.add_argument("--width", type=int, default=4)
-    s.add_argument("--indegree", type=int, default=2)
-    s.add_argument("--drop-prob", default="0")
-    s.add_argument("--sink-indegree", type=int, default=4)
-    s.add_argument("--forced-deletions", type=int, default=None)
 
-    return parser
+def parse_args(argv) -> Args | None:
+    """Reads argv as argparse did: returns the Args, or None once -h has
+    printed USAGE; raises CliError(EXIT_PARAMS) where argparse exits 2."""
+    rules, args, path, extra, toks = _grammar(), Args(), (), None, list(argv)
+    while True:  # one pass per level: the command word, the construction, the options
+        pos, opts = rules.get(path, (None, {}))
+        names, seen, kinds, i = [*opts, "-h", "--help"], set(), [], 0
+        for tok in toks:  # argparse classifies every token before it acts on any
+            kinds.append(("", None) if ("--", None) in kinds else ("--", None) if tok == "--"
+                         else _option(tok, names))
+        vars(args).update((spec[0], spec[2]) for spec in opts.values())
+        while i < len(toks):
+            (opt, value), tok, i = kinds[i], toks[i], i + 1
+            if opt in ("", "--") and path not in rules:
+                if opt or not any(words[:len(path) + 1] == (*path, tok) for words in rules):
+                    raise CliError(EXIT_PARAMS, f"invalid choice: {tok!r}")
+                setattr(args, LEVELS[len(path)], tok)
+                path, toks = (*path, tok), toks[i:]
+                break
+            if opt in ("-h", "--help"):
+                if value is None or opt == "-h" and value and not value.strip("h"):
+                    print(USAGE, end="")
+                    return None
+                raise CliError(EXIT_PARAMS, f"{opt}: ignored explicit argument {value!r}")
+            if opt in opts:
+                if value is None:
+                    if kinds[i:i + 1] != [("", None)]:
+                        raise CliError(EXIT_PARAMS, f"{opt}: expected one argument")
+                    value, i = toks[i], i + 1
+                try:
+                    setattr(args, opts[opt][0], _value(opts[opt][1], value))
+                except ValueError:
+                    raise CliError(EXIT_PARAMS, f"{opt}: invalid value {value!r}") from None
+                seen.add(opt)
+            elif pos and opt == "":
+                setattr(args, pos, tok)
+                pos, i = None, i + (kinds[i:i + 1] == [("--", None)])  # argparse drops a "--"
+            elif not (pos and opt == "--" and i < len(toks)):  # on either side of the value
+                extra = extra or tok
+        else:
+            break
+    missing = [pos] * bool(pos) + [o for o, spec in opts.items() if spec[3] and o not in seen]
+    if path not in rules or missing:
+        raise CliError(EXIT_PARAMS, "the following arguments are required: "
+                                    + (", ".join(missing) or LEVELS[len(path)]))
+    if extra is not None:
+        raise CliError(EXIT_PARAMS, f"unrecognized arguments: {extra}")
+    if [] in vars(args).values():  # argparse passed it on, and the command crashed
+        raise CliError(EXIT_PARAMS, "an option given as --opt=-- has no value")
+    return args
 
 
 _HANDLERS = {
@@ -249,9 +300,9 @@ def main(argv=None) -> int:
             print(f"error: AFFGEO_THREADS={threads!r} is not a positive integer",
                   file=sys.stderr)
             return EXIT_PARAMS
-    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        return EXIT_OK if args is None else _HANDLERS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

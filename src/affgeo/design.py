@@ -22,16 +22,11 @@ import math
 import operator
 from collections import Counter, deque
 from functools import cache, cached_property
-from typing import TYPE_CHECKING
 
 from . import flatspace
 from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace, combine,
                         count_flats, enumerate_flats, flat_rank)
 from .galois import Record
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-    from .matroid import PmdType
 
 
 class DesignError(ValueError):

@@ -13,9 +13,10 @@ constant term first), found by trial division.  Same (p, e) always
 yields the same field.
 
 The tables are log/antilog tables (Lidl & Niederreiter, *Finite Fields*,
-ch. 9).  The least primitive element g, by encoding, is found by walking
-each candidate's powers with polynomial multiplication, at most q - 1
-products per candidate instead of the q^2 of a direct fill.  Then
+ch. 9).  The least primitive element g, by encoding, is the least
+candidate with g^((q-1)/r) != 1 for each prime r | q-1 (square-and-
+multiply), and its powers are walked once by polynomial multiplication:
+q - 2 products plus a few per candidate, not the q^2 of a direct fill.  Then
 a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)],
 so each mul row, and the neg row, is one itemgetter gather of log from a
 slice of the doubled exp list.  Addition is digitwise mod p: the add row
@@ -216,17 +217,25 @@ class FieldSpec:
         self._add = add
 
     def _primitive_powers(self) -> list:
-        """Encodings of g^0, ..., g^(q-2) for the least primitive element g,
-        walking each candidate's powers by polynomial multiplication."""
-        q, coeffs = self.order, self._coeffs
-        for g in range(1, q):
-            powers, x = [1], coeffs[g]
-            while (v := self.encode(x)) != 1:
-                powers.append(v)
-                x = _poly_mod_mul(x, coeffs[g], self.modulus, self.p)
-            if len(powers) == q - 1:
-                return powers
-        raise FieldError(f"no primitive element mod {self.modulus}")  # unreachable
+        """Encodings of g^0, ..., g^(q-2) for the least primitive element g:
+        the least g with g^((q-1)/r) != 1 for each prime r | q-1."""
+        q, coeffs, mod, p = self.order, self._coeffs, self.modulus, self.p
+        exps = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+
+        def power(x, k):  # square-and-multiply
+            y = x
+            for bit in bin(k)[3:]:
+                y = _poly_mod_mul(y, y, mod, p)
+                if bit == "1":
+                    y = _poly_mod_mul(y, x, mod, p)
+            return y
+
+        g = next(g for g in range(1, q) if all(power(coeffs[g], k) != coeffs[1] for k in exps))
+        powers, x = [1], coeffs[g]
+        while (v := self.encode(x)) != 1:
+            powers.append(v)
+            x = _poly_mod_mul(x, coeffs[g], mod, p)
+        return powers
 
     # --- encoding helpers -------------------------------------------------
 

@@ -58,9 +58,10 @@ if sys.argv[1:] and affgeo.cli.main(sys.argv[1:]) != 0:
 print(json.dumps(sorted(sys.modules)))
 """
 
-# dataclasses, and the inspect it imports, add milliseconds to every start
-# and no command needs them.
-UNNEEDED = {"dataclasses", "inspect"}
+# Each of these adds milliseconds to every start and no command needs it:
+# dataclasses and the inspect it imports; argparse and the gettext and
+# locale it imports; typing; pathlib.
+UNNEEDED = {"dataclasses", "inspect", "argparse", "gettext", "locale", "typing", "pathlib"}
 
 
 def _modules(code, *argv, cwd):
