@@ -4,10 +4,9 @@ Exit codes: 0 ok, 2 bad parameters, 3 enumeration guard exceeded,
 4 parse error, 5 verification failure.  All reports are line-oriented
 key=value text with exact numbers (rationals as "p/q").
 
-USAGE is both the -h text, which lists every command and option, and the
-grammar by which parse_args accepts and rejects what argparse did (unique
-prefixes of option names included).  A bad argv prints one "error: ..."
-line and exits 2.
+USAGE is the -h text, listing every command and option, and the grammar
+parse_args reads; any unique prefix of an option name works.  A bad argv
+prints one "error: ..." line and exits 2.
 
 AFFGEO_THREADS is accepted for compatibility with parallel runners; the
 library is pure and single-process, so it caps a worker count that is
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -35,6 +35,8 @@ class CliError(Exception):
 
 
 def _write_atomic(path: str, text: str):
+    if not os.path.basename(path):
+        raise CliError(EXIT_PARAMS, f"--out {path!r} names no file")
     with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     os.replace(path + ".tmp", path)
@@ -179,115 +181,86 @@ affgeo simulate CODE --trials INT [--seed INT=0] [--layers INT=1] [--width INT=4
 LEVELS = ("command", "construction")  # the attributes naming the command words
 
 
-class Args:
-    """A parsed argv: one attribute per argument, named as the handlers read them."""
-
-
-def _value(spec: str, text: str):
-    """text as a value of type spec: INT, a|b|... (one of these), else a string."""
-    if text == "--":  # as argparse reads --opt=--; parse_args rejects it unless repeated
-        return []
-    if "|" in spec and text not in spec.split("|"):
-        raise ValueError(text)
-    return int(text) if spec == "INT" else text
+def _value(opt: str, spec: str, text):
+    """text (None if opt was given none) as a value of type spec: INT, a|b|..., or a string."""
+    try:
+        if text is not None and ("|" not in spec or text in spec.split("|")):
+            return int(text) if spec == "INT" else text
+    except ValueError:
+        pass
+    raise CliError(EXIT_PARAMS, f"{opt} needs {spec}" + ("" if text is None else f", not {text!r}"))
 
 
 def _grammar() -> dict:
-    """USAGE's lines as {command words: (positional or None,
-    {option: (attribute, type, default, required)})}."""
+    """USAGE as {command words: (positional, {option: (attribute, type, default, required)})}."""
     rules = {}
     for line in USAGE.replace("\n        ", " ").splitlines()[1:]:
         words = line.split()[1:]
         n = next(i for i, w in enumerate(words) if not w[0].islower())
+        rules.update({tuple(words[:k]): (LEVELS[k], {}) for k in range(n)})
         pos = words.pop(n).lower() if words[n].isupper() else None
         rules[tuple(words[:n])] = pos, (opts := {})
         for name, spec in zip(words[n::2], words[n + 1::2]):  # --name TYPE or [--name TYPE=d]
-            spec, _, default = spec.strip("]").partition("=")
+            spec, _, d = spec.strip("]").partition("=")
             opts[name.strip("[")] = (name.strip("[-").replace("-", "_"), spec,
-                                     _value(spec, default) if default else None, name[0] != "[")
+                                     _value(name, spec, d) if d else None, name[0] != "[")
     return rules
 
 
 def _option(tok: str, names) -> tuple:
-    """How argparse reads tok given the option names: (option, value after
-    "=" or None); option is "" for a plain value and None for an unknown one."""
+    """(option, value after "=" or None) of tok: option "" is a plain value, None unknown."""
     name, eq, value = tok.partition("=")
-    if tok in names or eq and name in names:
-        return name, value if eq else None
-    if tok[:1] != "-" or len(tok) == 1:
+    if tok[:1] != "-" or tok in ("-", "--"):
         return "", None
-    if tok[1] == "h":  # -hX is -h given the value X
-        return "-h", tok[2:]
-    hits = [o for o in names if o.startswith(name)] if tok[1] == "-" else []
+    hits = [name] if name in names else [o for o in names if tok[1] == "-" and o.startswith(name)]
     if len(hits) > 1:
         raise CliError(EXIT_PARAMS, f"ambiguous option: {name} could match {', '.join(hits)}")
-    if hits:
+    if hits and not (eq and hits[0] in ("-h", "--help")):  # help given a value is unknown
         return hits[0], value if eq else None
-    num = tok[1:].removesuffix("\n")  # as argparse, ^-\d+$|^-\d*\.\d+$ is a value
-    whole, _, frac = num.partition(".")
-    return ("" if num.isdecimal() or (whole + "0").isdecimal() and frac.isdecimal()
-            or " " in tok else None), None
+    whole, dot, frac = tok[1:].partition(".")  # -7 and -.5 are values, as in argparse
+    return ("" if (whole + "0").isdecimal() and (frac.isdecimal() or not dot) else None), None
 
 
-def parse_args(argv) -> Args | None:
-    """Reads argv as argparse did: returns the Args, or None once -h has
-    printed USAGE; raises CliError(EXIT_PARAMS) where argparse exits 2."""
-    rules, args, path, extra, toks = _grammar(), Args(), (), None, list(argv)
-    while True:  # one pass per level: the command word, the construction, the options
-        pos, opts = rules.get(path, (None, {}))
-        names, seen, kinds, i = [*opts, "-h", "--help"], set(), [], 0
-        for tok in toks:  # argparse classifies every token before it acts on any
-            kinds.append(("", None) if ("--", None) in kinds else ("--", None) if tok == "--"
-                         else _option(tok, names))
+def parse_args(argv) -> SimpleNamespace | None:
+    """Reads argv as argparse did: one attribute per argument, or None once -h
+    has printed USAGE; raises CliError(EXIT_PARAMS) where argparse exits 2."""
+    rules, args, path, extra, toks = _grammar(), SimpleNamespace(), (), None, list(argv)
+    while path in rules:  # one pass per level: the command word, the construction, the options
+        pos, opts = rules[path]
+        names, n, i = [*opts, "-h", "--help"], len(toks), 0
+        # Every token is classified before any acts; from the first "--" on, all are
+        # values, except where a command word goes: there "--" is read as one.
+        cut = toks.index("--") if "--" in toks and pos not in LEVELS else n
+        kinds = [*(_option(t, names) for t in toks[:cut]), ("--", None), *[("", None)] * n][:n]
         vars(args).update((spec[0], spec[2]) for spec in opts.values())
-        while i < len(toks):
+        while i < n:
             (opt, value), tok, i = kinds[i], toks[i], i + 1
-            if opt in ("", "--") and path not in rules:
-                if opt or not any(words[:len(path) + 1] == (*path, tok) for words in rules):
-                    raise CliError(EXIT_PARAMS, f"invalid choice: {tok!r}")
-                setattr(args, LEVELS[len(path)], tok)
-                path, toks = (*path, tok), toks[i:]
-                break
             if opt in ("-h", "--help"):
-                if value is None or opt == "-h" and value and not value.strip("h"):
-                    print(USAGE, end="")
-                    return None
-                raise CliError(EXIT_PARAMS, f"{opt}: ignored explicit argument {value!r}")
+                print(USAGE, end="")
+                return None
             if opt in opts:
-                if value is None:
-                    if kinds[i:i + 1] != [("", None)]:
-                        raise CliError(EXIT_PARAMS, f"{opt}: expected one argument")
+                if value is None and kinds[i:i + 1] == [("", None)]:
                     value, i = toks[i], i + 1
-                try:
-                    setattr(args, opts[opt][0], _value(opts[opt][1], value))
-                except ValueError:
-                    raise CliError(EXIT_PARAMS, f"{opt}: invalid value {value!r}") from None
-                seen.add(opt)
+                setattr(args, opts[opt][0], _value(opt, opts[opt][1], value))
             elif pos and opt == "":
                 setattr(args, pos, tok)
-                pos, i = None, i + (kinds[i:i + 1] == [("--", None)])  # argparse drops a "--"
-            elif not (pos and opt == "--" and i < len(toks)):  # on either side of the value
+                if pos in LEVELS:  # parse the rest at the next level
+                    path, toks = (*path, tok), toks[i:]
+                    break
+                pos, i = None, i + (kinds[i:i + 1] == [("--", None)])  # a "--" on either side
+            elif not (pos and opt == "--" and i < n):  # of the value is dropped
                 extra = extra or tok
         else:
             break
-    missing = [pos] * bool(pos) + [o for o, spec in opts.items() if spec[3] and o not in seen]
-    if path not in rules or missing:
-        raise CliError(EXIT_PARAMS, "the following arguments are required: "
-                                    + (", ".join(missing) or LEVELS[len(path)]))
+    else:
+        raise CliError(EXIT_PARAMS, f"invalid choice: {path[-1]!r}")
+    missing = [pos] * bool(pos) + [o for o, (attr, _, _, required) in opts.items()
+                                   if required and getattr(args, attr) is None]
+    if missing:
+        raise CliError(EXIT_PARAMS, "the following arguments are required: " + ", ".join(missing))
     if extra is not None:
         raise CliError(EXIT_PARAMS, f"unrecognized arguments: {extra}")
-    if [] in vars(args).values():  # argparse passed it on, and the command crashed
-        raise CliError(EXIT_PARAMS, "an option given as --opt=-- has no value")
     return args
-
-
-_HANDLERS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "analyze": cmd_analyze,
-    "expand": cmd_expand,
-    "simulate": cmd_simulate,
-}
 
 
 def main(argv=None) -> int:
@@ -302,7 +275,7 @@ def main(argv=None) -> int:
             return EXIT_PARAMS
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
-        return EXIT_OK if args is None else _HANDLERS[args.command](args)
+        return EXIT_OK if args is None else globals()["cmd_" + args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,7 +343,7 @@ def cli_cases(draw):
             argv += [opt, num()]
         if construction == "complete":
             argv += ["--kind", draw(st.sampled_from(["affine", "projective"]))]
-        argv += ["--out", "{d}/out.blocks"]
+        argv += ["--out", draw(st.sampled_from(["{d}/out.blocks", "", "{d}/"]))]
     else:
         base = draw(st.sampled_from([*FUZZ_BASES, "missing"]))
         edits = draw(st.lists(st.tuples(
@@ -356,7 +357,7 @@ def cli_cases(draw):
         elif command == "expand":
             argv += ["--mode", draw(st.sampled_from(
                 ["subspace", "affine-2", "affine-3", "ev11"])),
-                "--out", "{d}/out.design"]
+                "--out", draw(st.sampled_from(["{d}/out.design", "", "{d}/"]))]
         elif command == "simulate":
             argv += ["--trials", num(-1, 3), "--seed", num(0, 3),
                      "--layers", num(), "--width", num(), "--indegree", num(),
@@ -378,6 +379,10 @@ def cli_cases(draw):
                [("garble", 4, 4, "2")]))  # digit 2 in a file over F_2
 @example(case=(["construct", "complete", "--q", "2", "--n", "1", "--k", "0",
                 "--kind", "affine", "--out", "{d}/out.blocks"], None, None))
+@example(case=(["construct", "affine-steiner", "--q", "2", "--k", "1", "--l", "2",
+                "--out", ""], None, None))  # names no file: nothing is written
+@example(case=(["construct", "affine-steiner", "--q", "2", "--k", "1", "--l", "2",
+                "--out", "{d}/"], None, None))
 def test_cli_contract_fuzz(fuzz_dir, case):
     argv, base, edits = case
     target = fuzz_dir / "in.blocks"
@@ -389,3 +394,4 @@ def test_cli_contract_fuzz(fuzz_dir, case):
         code = main([a.format(d=fuzz_dir) for a in argv])  # returns 2 for a bad argv, never exits
     assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert not [*fuzz_dir.glob("*.tmp"), *Path().glob(".tmp")], argv  # no stray temp file

@@ -6,12 +6,19 @@ from the whole grammar, bends it (prefixes, "=", repeats, "--", negative
 numbers, stray -h, unknown, missing and extra arguments) and asserts
 that both parsers give the same exit code, and the same attributes
 wherever both accept.
+
+argparse itself reads some argv differently across Python versions.
+PROBES holds one argv per behaviour the CLI copies, with what argparse
+3.10.13 to 3.13.0 made of it.  The CLI is held to that table on every
+Python; the live parity test runs only where the running argparse agrees
+with the table, and elsewhere is skipped, naming the probes that differ.
 """
 
 import argparse
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -96,23 +103,46 @@ CHOICES = {"--kind": ["affine", "projective"],
            "--mode": ["subspace", "affine-2", "affine-3", "ev11"]}
 # Values that are not plain words: negative numbers (values to argparse),
 # "-1/2" (an option to it), and strings int() reads or rejects.
-ODD = ["-7", "-.5", "-1/2", "", " 3", "1_0", "x", "3.0", "-", "--"]
-# Tokens dropped in anywhere: help in its forms, unknown options, "--".
-STRAY = ["-h", "--help", "--he", "-hh", "-h=h", "-hx", "--help=x", "--",
-         "--bogus", "--=3", "-x", "-7", "-.5", "-1/2", "y", "", "--t", "--out",
-         "--q=3", "--s", "verify", "construct"]
+ODD = ["-7", "-.5", "-1/2", "", "1_0", "x", "3.0", "-"]
+# Tokens dropped in anywhere: help, unknown options, "--", stray words.
+STRAY = ["-h", "--help", "--he", "--", "--bogus", "-x", "-7", "-.5", "-1/2", "y", "",
+         "--t", "--out", "--q=3", "--s", "verify", "construct"]
+
+V, A = "verify", "analyze"
+# argv -> the exit code, or the attributes, that argparse 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0 give; one argv per behaviour the CLI copies.
+PROBES = [
+    ([V, "a", "--t", "2"], {"command": V, "infile": "a", "t": 2}),  # exact name
+    (["expand", "a", "--mo=ev11", "--o", "o"],  # unique prefixes, "="
+     {"command": "expand", "infile": "a", "mode": "ev11", "out": "o"}),
+    (["simulate", "c", "--trials", "1", "--s", "3"], 2),  # ambiguous prefix
+    (["simulate", "-h", "--s"], 2),  # ... is rejected before an earlier -h acts
+    ([V, "-.5", "--t", "-7"], {"command": V, "infile": "-.5", "t": -7}),  # negative numbers
+    (["simulate", "c", "--trials", "1", "--drop-prob", "-1/2"], 2),  # -1/2 is an option
+    ([V, "--t", "2", "--", "--t"], {"command": V, "infile": "--t", "t": 2}),  # "--" ends options
+    ([V, "--t", "2", "a", "--"], {"command": V, "infile": "a", "t": 2}),  # ... next to the value
+    ([V, "a", "--t", "2", "--"], 2),  # ... or else it is extra
+    (["--", A, "a"], 2),  # "--" where the command word goes is read as one
+    ([V, "a", "--t", "1", "--t=3"], {"command": V, "infile": "a", "t": 3}),  # last repeat wins
+    ([V, "a", "--t", "x"], 2),  # not an int
+    (["expand", "a", "--mode", "ev", "--out", "o"], 2),  # not a choice
+    ([], 2), (["construct"], 2), ([V, "a"], 2), ([V, "--t", "2"], 2),  # missing
+    ([A, "a", "--bogus"], 2), ([A, "a", "b"], 2), (["analyse", "a"], 2),  # unknown, extra
+    (["construct", "-h", "spread", "--bogus"], 0), ([A, "--he"], 0), (["-x", "-h"], 0),  # help
+    ([V, "a", "--t", "x", "-h"], 2),  # an error before -h stands
+    (["simulate", "c", "--tri", "3"],  # defaults
+     {"command": "simulate", "code": "c", "trials": 3, "seed": 0, "layers": 1, "width": 4,
+      "indegree": 2, "drop_prob": "0", "sink_indegree": 4, "forced_deletions": None}),
+]
 
 
 def _reference(argv):
     """(exit code, None) where argparse exits, else (None, its attributes)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            parsed = vars(build_parser().parse_args(argv))
+            return None, vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return exc.code, None
-    # argparse strips the "--" of --opt=--, which leaves the option the value
-    # [] and the command a TypeError (exit 1); the CLI rejects such an argv.
-    return (2, None) if [] in parsed.values() else (None, parsed)
 
 
 def _ours(argv):
@@ -124,10 +154,28 @@ def _ours(argv):
     return (0, None) if args is None else (None, vars(args))
 
 
-# Newer argparse versions strip a "--" before a subcommand, which older
-# ones (3.11 among them) read as the command.  The CLI keeps the older
-# reading, so under a newer argparse argv holding "--" are not compared.
-OLD_DASHES = _reference(["--", "analyze", "a"])[0] == 2
+def _recorded(want):
+    return (want, None) if isinstance(want, int) else (None, want)
+
+
+DIFFERING = [argv for argv, want in PROBES if _reference(argv) != _recorded(want)]
+
+
+@pytest.mark.parametrize("argv, want", PROBES, ids=[" ".join(a) or "[]" for a, _ in PROBES])
+def test_cli_reads_probes_as_recorded(argv, want):
+    assert _ours(argv) == _recorded(want)
+
+
+def test_cli_departures_from_argparse():
+    # Help given a value, -hX included, is an unknown option (argparse 3.11
+    # read -hX as -h -X and -h=h as help), so a later -h still acts.
+    for argv in [[A, "a", "-hx"], [A, "a", "-hh"], [A, "a", "-h=h"], [A, "a", "--help=x"]]:
+        assert _ours(argv) == (2, None), argv
+        assert _ours([*argv, "-h"]) == (0, None), argv
+    # --opt=-- gives the value "--" (argparse 3.11 gave [], and the command crashed).
+    assert _ours([V, "a", "--t=--"]) == (2, None)
+    assert _ours(["expand", "a", "--mode", "ev11", "--out=--"]) == (
+        None, {"command": "expand", "infile": "a", "mode": "ev11", "out": "--"})
 
 
 @st.composite
@@ -151,6 +199,8 @@ def argvs(draw):
     return argv
 
 
+@pytest.mark.skipif(bool(DIFFERING), reason="this Python's argparse reads these probes "
+                    f"otherwise than the CLI and argparse 3.10-3.13.0 do: {DIFFERING}")
 @settings(max_examples=1500, deadline=None, derandomize=True)
 @given(argv=argvs())
 @example(argv=["verify", "s.blocks", "--tri", "2"])
@@ -160,12 +210,8 @@ def argvs(draw):
 @example(argv=["verify", "a", "--", "--t", "2"])
 @example(argv=["expand", "a", "--mode", "ev", "--out", "o"])
 @example(argv=["construct", "-h", "spread", "--bogus"])
-@example(argv=["simulate", "c", "--trials", "1", "-hx", "-h"])
 @example(argv=["--", "analyze", "a"])
-@example(argv=["construct", "spread", "--q", "2", "--n=--", "--n", "4", "--k", "2", "--out", "o"])
 def test_argv_parity_with_argparse(argv):
-    if not OLD_DASHES and "--" in argv:
-        return
     assert _ours(argv) == _reference(argv), argv
 
 
