@@ -7,8 +7,7 @@ imports the one module that defines it (PEP 562).
 """
 
 _EXPORTS = {
-    "galois": ("FieldElem FieldError FieldSpec elem elements embed field_new "
-               "field_of_order"),
+    "galois": "FieldError FieldSpec embed field_new field_of_order",
     "flatspace": ("AffineFlat GeometryError GeometrySpec GuardExceeded "
                   "LinearSubspace VectorFq affine_geometry aff_closure aff_join "
                   "aff_meet count_flats count_points enumerate_flats "
@@ -29,7 +28,7 @@ _EXPORTS = {
                   "desarguesian_spread through_zero translate_closure"),
     "codes": ("Ambiguity DecodeError Erasure correction_radius d_wedge decode "
               "deletion_discrepancy is_partial_steiner max_pairwise_meet_rank "
-              "metric_violation_witness subspace_distance tau tau_bruteforce"),
+              "metric_violation_witness subspace_distance tau"),
     "netsim": ("NetworkConfig SplitMix64 TrialStats propagate "
                "random_affine_coeffs run_trials trial_rng"),
 }

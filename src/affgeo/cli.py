@@ -1,16 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 ok, 2 bad parameters, 3 enumeration guard exceeded,
-4 parse error, 5 verification failure.  All reports are line-oriented
+4 file or parse error, 5 verification failure.  All reports are line-oriented
 key=value text with exact numbers (rationals as "p/q").
 
 USAGE is the -h text, listing every command and option, and the grammar
 parse_args reads; any unique prefix of an option name works.  A bad argv
 prints one "error: ..." line and exits 2.
-
-AFFGEO_THREADS is accepted for compatibility with parallel runners; the
-library is pure and single-process, so it caps a worker count that is
-currently always one.
 
 Each subcommand imports only the library layers it runs.
 """
@@ -37,9 +33,15 @@ class CliError(Exception):
 def _write_atomic(path: str, text: str):
     if not os.path.basename(path):
         raise CliError(EXIT_PARAMS, f"--out {path!r} names no file")
-    with open(path + ".tmp", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
+    tmp, fh = path + ".tmp", None
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if fh is not None:  # tmp was made here: leave no trace of it
+            os.unlink(tmp)
+        raise CliError(EXIT_PARSE, f"cannot write {path}: {exc}") from exc
 
 
 def _load_family(path: str):
@@ -47,7 +49,7 @@ def _load_family(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return blockfile.parse(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except blockfile.ParseError as exc:
         raise CliError(EXIT_PARSE, f"parse error in {path}: {exc}") from exc
@@ -264,15 +266,6 @@ def parse_args(argv) -> SimpleNamespace | None:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("AFFGEO_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: AFFGEO_THREADS={threads!r} is not a positive integer",
-                  file=sys.stderr)
-            return EXIT_PARAMS
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         return EXIT_OK if args is None else globals()["cmd_" + args.command](args)

@@ -125,20 +125,6 @@ def tau(E, Ep, g: GeometrySpec) -> int:
     return flatspace.flat_rank(E, g) - flatspace.flat_rank(meet, g) - 1
 
 
-def tau_bruteforce(E, Ep, g: GeometrySpec) -> int:
-    """min over all flats F of max(Delta(E,F), Delta(E',F)) - 1.
-
-    Exhaustive oracle for the closed form above; desk scale only.
-    """
-    best = INFINITY
-    for r in range(g.rank + 1):
-        for F in flatspace.enumerate_flats(g, r):
-            v = max(deletion_discrepancy(E, F), deletion_discrepancy(Ep, F))
-            if v < best:
-                best = v
-    return int(best) - 1
-
-
 def correction_radius(fam: FlatFamily) -> int:
     """min pairwise tau = k - m - 1 for meet rank m; a singleton gets k - 1."""
     if not fam.blocks:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from math import prod
 
-from .galois import FieldElem, FieldSpec, Record
+from .galois import FieldSpec, Record
 
 ENUMERATION_GUARD = 10 ** 7
 
@@ -109,8 +109,7 @@ class VectorFq(Record):
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "VectorFq":
-        enc = tuple(v.val if isinstance(v, FieldElem) else v % spec.p for v in values)
-        return cls(spec, enc)
+        return cls(spec, tuple(v % spec.p for v in values))
 
     @property
     def d(self) -> int:

@@ -354,62 +354,6 @@ def field_of_order(q: int) -> FieldSpec:
     raise FieldError(f"{q} is not a prime power")
 
 
-class FieldElem(Record):
-    """An element of F_{p^e}, wrapping its integer encoding."""
-
-    __slots__ = ("spec", "val")
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.spec.decode(self.val)
-
-    def _check(self, other: "FieldElem"):
-        if self.spec != other.spec:
-            raise FieldError("operands belong to different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.add(self.val, other.val))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.sub(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.val, other.val))
-
-    def inv(self):
-        return FieldElem(self.spec, self.spec.inv(self.val))
-
-    def __pow__(self, n: int):
-        return FieldElem(self.spec, self.spec.pow(self.val, n))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def digits(self) -> str:
-        return self.spec.digits(self.val)
-
-    def __repr__(self):
-        return f"FieldElem({self.digits()})"
-
-
-def elem(spec: FieldSpec, coeffs) -> FieldElem:
-    """Element from coefficients (constant first) or from an integer residue when e=1."""
-    if isinstance(coeffs, int):
-        coeffs = (coeffs % spec.p,) + (0,) * (spec.e - 1)
-    return FieldElem(spec, spec.encode(coeffs))
-
-
-def elements(spec: FieldSpec):
-    """All p^e elements, lexicographic on coefficient tuples."""
-    return [FieldElem(spec, v) for v in spec.encodings_lex()]
-
-
 class Embedding:
     """Injective homomorphism F_{q} -> F_{q^m}, plus the vector-space view.
 
@@ -466,11 +410,6 @@ class Embedding:
                 acc = self.sup.add(acc, self.sup.mul(c, img))
         return acc
 
-    def __call__(self, x: FieldElem) -> FieldElem:
-        if x.spec != self.sub:
-            raise FieldError("element not in the source field")
-        return FieldElem(self.sup, self.map_enc(x.val))
-
     def to_vector_enc(self, a: int) -> tuple:
         """Big-field encoding -> tuple of m subfield encodings (beta-basis coords)."""
         return self._vectors[a]
@@ -481,12 +420,6 @@ class Embedding:
             if c:
                 acc = self.sup.add(acc, self.sup.mul(self.map_enc(c), bp))
         return acc
-
-    def to_vector(self, x: FieldElem):
-        return tuple(FieldElem(self.sub, c) for c in self.to_vector_enc(x.val))
-
-    def from_vector(self, coords) -> FieldElem:
-        return FieldElem(self.sup, self.from_vector_enc(tuple(c.val for c in coords)))
 
 
 @lru_cache(maxsize=None)

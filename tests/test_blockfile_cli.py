@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import random
+import traceback
 from pathlib import Path
 
 import pytest
@@ -196,15 +197,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "violation=1" in out
 
 
-def test_cli_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("AFFGEO_THREADS", "zero")
-    assert main(["analyze", str(tmp_path / "whatever")]) == 2
-    monkeypatch.setenv("AFFGEO_THREADS", "2")
-    out = tmp_path / "ok.blocks"
-    assert main(["construct", "affine-steiner", "--q", "2", "--k", "1",
-                 "--l", "2", "--out", str(out)]) == 0
-
-
 def test_cli_guard_exit(capsys, tmp_path):
     assert main(["construct", "complete", "--q", "5", "--kind", "affine",
                  "--n", "13", "--k", "6", "--out", str(tmp_path / "big")]) == 3
@@ -328,7 +320,8 @@ def _mutate(text, edits):
 @st.composite
 def cli_cases(draw):
     """An argv (with {d} for the work directory) and an optional edit list
-    for the input block file, which is one of FUZZ_BASES or missing."""
+    for the input block file, which is one of FUZZ_BASES, s5 followed by the
+    byte 0xff (not UTF-8), or missing."""
     def num(lo=-1, hi=2):
         return str(draw(st.integers(lo, hi)))
 
@@ -343,9 +336,10 @@ def cli_cases(draw):
             argv += [opt, num()]
         if construction == "complete":
             argv += ["--kind", draw(st.sampled_from(["affine", "projective"]))]
-        argv += ["--out", draw(st.sampled_from(["{d}/out.blocks", "", "{d}/"]))]
+        argv += ["--out", draw(st.sampled_from(
+            ["{d}/out.blocks", "", "{d}/", "{d}/missing/out.blocks", "{d}"]))]
     else:
-        base = draw(st.sampled_from([*FUZZ_BASES, "missing"]))
+        base = draw(st.sampled_from([*FUZZ_BASES, "s5+0xff", "missing"]))
         edits = draw(st.lists(st.tuples(
             st.sampled_from(["drop", "dup", "garble"]),
             st.integers(0, 10 ** 4), st.integers(0, 10 ** 4),
@@ -357,7 +351,8 @@ def cli_cases(draw):
         elif command == "expand":
             argv += ["--mode", draw(st.sampled_from(
                 ["subspace", "affine-2", "affine-3", "ev11"])),
-                "--out", draw(st.sampled_from(["{d}/out.design", "", "{d}/"]))]
+                "--out", draw(st.sampled_from(
+                    ["{d}/out.design", "", "{d}/", "{d}/missing/out.design", "{d}"]))]
         elif command == "simulate":
             argv += ["--trials", num(-1, 3), "--seed", num(0, 3),
                      "--layers", num(), "--width", num(), "--indegree", num(),
@@ -383,15 +378,27 @@ def cli_cases(draw):
                 "--out", ""], None, None))  # names no file: nothing is written
 @example(case=(["construct", "affine-steiner", "--q", "2", "--k", "1", "--l", "2",
                 "--out", "{d}/"], None, None))
+@example(case=(["construct", "affine-steiner", "--q", "2", "--k", "1", "--l", "2",
+                "--out", "{d}/missing/out.blocks"], None, None))  # no such directory
+@example(case=(["construct", "affine-steiner", "--q", "2", "--k", "1", "--l", "2",
+                "--out", "{d}"], None, None))  # a directory: the .tmp is written, then removed
+@example(case=(["verify", "{d}/in.blocks", "--t", "2"], "s5+0xff", []))
 def test_cli_contract_fuzz(fuzz_dir, case):
     argv, base, edits = case
     target = fuzz_dir / "in.blocks"
     target.unlink(missing_ok=True)
     if base in FUZZ_BASES:
         target.write_text(_mutate((fuzz_dir / base).read_text(), edits))
+    elif base == "s5+0xff":
+        target.write_bytes(_mutate((fuzz_dir / "s5").read_text(), edits).encode() + b"\xff")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([a.format(d=fuzz_dir) for a in argv])  # returns 2 for a bad argv, never exits
+        try:  # returns 2 for a bad argv, never exits
+            code = main([a.format(d=fuzz_dir) for a in argv])
+        except Exception:  # what `python -m affgeo.cli` shows before it exits 1
+            traceback.print_exc()
+            code = 1
     assert code in (0, 2, 3, 4, 5), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    assert not [*fuzz_dir.glob("*.tmp"), *Path().glob(".tmp")], argv  # no stray temp file
+    strays = [*fuzz_dir.glob("*.tmp"), *Path().glob(".tmp"), Path(f"{fuzz_dir}.tmp")]
+    assert not [p for p in strays if p.exists()], argv  # no stray temp file

@@ -4,15 +4,15 @@ import weakref
 
 import pytest
 
-from affgeo import (AffineFlat, Ambiguity, Erasure, FlatFamily,
+from affgeo import (AffineFlat, Ambiguity, Erasure, FlatFamily, GeometrySpec,
                     LinearSubspace, VectorFq, aff_closure, aff_meet,
                     affine_geometry, affine_poly_code, affine_steiner,
                     complete_design, correction_radius, d_wedge, decode,
                     deletion_discrepancy, desarguesian_spread,
                     enumerate_flats, field_new, is_partial_steiner, lin_meet,
                     max_pairwise_meet_rank, metric_violation_witness,
-                    projective_geometry, subspace_distance, tau,
-                    tau_bruteforce)
+                    projective_geometry, subspace_distance, tau)
+from affgeo import flatspace
 from affgeo.codes import INFINITY
 from affgeo.design import subflats
 
@@ -66,6 +66,20 @@ def test_infinity_is_exact():
     assert not isinstance(INFINITY, float)
     assert all(n < INFINITY and not INFINITY <= n for n in (0, 7, 10 ** 400))
     assert max(3, INFINITY) is INFINITY and not INFINITY < INFINITY
+
+
+def tau_bruteforce(E, Ep, g: GeometrySpec) -> int:
+    """min over all flats F of max(Delta(E,F), Delta(E',F)) - 1.
+
+    Exhaustive oracle for the closed form in codes.tau; desk scale only.
+    """
+    best = INFINITY
+    for r in range(g.rank + 1):
+        for F in flatspace.enumerate_flats(g, r):
+            v = max(deletion_discrepancy(E, F), deletion_discrepancy(Ep, F))
+            if v < best:
+                best = v
+    return int(best) - 1
 
 
 def test_tau_matches_bruteforce_on_ag22():

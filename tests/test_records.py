@@ -15,7 +15,7 @@ from affgeo.design import (ClassicalDesign, DesignError, DesignParams,
                            FlatFamily, VerifyResult)
 from affgeo.flatspace import (AffineFlat, GeometrySpec, LinearSubspace,
                               VectorFq, affine_geometry)
-from affgeo.galois import FieldElem, field_new
+from affgeo.galois import field_new
 from affgeo.matroid import CheckReport, PmdType
 from affgeo.netsim import NetworkConfig, TrialStats
 
@@ -27,7 +27,6 @@ A = AffineFlat.coset((0, 1), U)
 # instance, its fields in order, and its repr from when the types were frozen
 # dataclasses
 RECORDS = {
-    "FieldElem": (FieldElem(F3, 2), dict(spec=F3, val=2), "FieldElem(2)"),
     "VectorFq": (VectorFq(F3, (1, 2)), dict(spec=F3, coords=(1, 2)), "VectorFq(1 2)"),
     "LinearSubspace": (U, dict(spec=F3, d=2, rows=((1, 2),), pivots=(0,)),
                        "LinearSubspace(dim=1 of F^2)"),
@@ -108,7 +107,6 @@ def test_never_equal_across_classes():
     sub = LinearSubspace(F3, 2, (0, 1), U)
     flat = AffineFlat(F3, 2, (0, 1), U)
     assert sub != flat and flat != sub
-    assert FieldElem(F3, 2) != VectorFq(F3, 2)
     assert CheckReport("affine", F3, 3) != G
 
 
