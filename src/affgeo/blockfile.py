@@ -15,8 +15,9 @@ constant coefficient first (comma-joined digits when p > 10).  Blocks
 are sorted by canonical form, so parse(render(x)) == x and files diff
 cleanly.  render(parse(text)) == text holds for canonical text only:
 parse also accepts blocks out of order and dir rows not in RREF, which
-render then writes in canonical form.  render spells each distinct
-vector once.
+render then writes in canonical form.  render builds one string per
+block; it spells each distinct vector once and writes the dir lines of
+each distinct row set once, as parallel blocks share them.
 
 parse works in three grains.  Once per line: a dict lookup of its text;
 each distinct line is read once.  Once per direction: the dir lines that
@@ -57,22 +58,14 @@ def _render_modulus(K) -> str:
 
 
 def render(fam: FlatFamily) -> str:
-    g = fam.geometry
-    K = g.field
-    lines = [MAGIC,
-             f"field p={K.p} e={K.e} modulus={_render_modulus(K)}",
-             f"space kind={g.kind} rank={g.rank}"]
+    g, K = fam.geometry, fam.geometry.field
     spell = functools.cache(lambda v: " ".join(map(K.digits, v)))  # for this call
-    for b in sorted(fam.blocks, key=lambda x: x.sort_key()):
-        lines.append("block")
-        if g.kind == "affine":
-            lines.append("rep " + spell(b.rep))
-            rows = b.dir.rows
-        else:
-            rows = b.rows
-        for row in rows:
-            lines.append("dir " + spell(row))
-    return "\n".join(lines) + "\n"
+    dirs = functools.cache(lambda rows: "".join(f"dir {spell(row)}\n" for row in rows))
+    affine = g.kind == "affine"
+    body = [f"block\nrep {spell(b.rep)}\n{dirs(b.dir.rows)}" if affine else "block\n" + dirs(b.rows)
+            for b in sorted(fam.blocks, key=lambda x: x.sort_key())]
+    return (f"{MAGIC}\nfield p={K.p} e={K.e} modulus={_render_modulus(K)}\n"
+            f"space kind={g.kind} rank={g.rank}\n" + "".join(body))
 
 
 def parse(text: str) -> FlatFamily:

@@ -49,13 +49,18 @@ def desarguesian_spread(n: int, k: int, q: int) -> FlatFamily:
 
 
 def translate_closure(B: FlatFamily) -> FlatFamily:
-    """All cosets of all blocks: {v + U | U in B, v in V}, deduplicated."""
+    """All cosets {v + U | U in B, v in V}, built in sort_key order: blocks
+    sorted and grouped by pivots share their canonical reps, taken in integer
+    order as sort_key compares them, so no coset is sorted.  The FlatFamily
+    check of the result still rejects duplicate cosets."""
     g = B.geometry
     if g.kind != "projective":
         raise ConstructError("translate_closure expects linear (projective) blocks")
     flatspace.check_guard(sum(g.q ** (g.rank - U.dim) for U in B.blocks), "blocks")
-    out = sorted((f for U in B.blocks for f in flatspace.cosets(U)),
-                 key=lambda f: f.sort_key())  # one FlatFamily check, not two
+    dirs = sorted(B.blocks, key=LinearSubspace.sort_key)
+    out = itertools.chain.from_iterable(
+        flatspace.cosets(tuple(group), range(g.q))
+        for _, group in itertools.groupby(dirs, key=lambda U: U.pivots))
     return FlatFamily(affine_geometry(g.field, g.rank + 1), tuple(out))
 
 

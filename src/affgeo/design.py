@@ -167,10 +167,8 @@ def subflat_shapes(g: GeometrySpec, k: int, t: int) -> SubflatShapes:
     if t == 0:
         return SubflatShapes(())
     lex = K.encodings_lex()
-    return SubflatShapes(
-        (S, list(itertools.product(*((0,) if j in S.pivots else lex
-                                     for j in range(k - 1)))))
-        for S in flatspace.enumerate_subspaces(K, k - 1, t - 1))
+    return SubflatShapes((S, [f.rep for f in flatspace.cosets((S,), lex)])
+                         for S in flatspace.enumerate_subspaces(K, k - 1, t - 1))
 
 
 def subflats(block, t: int, g: GeometrySpec, shapes=None):

@@ -109,7 +109,11 @@ class VectorFq(Record):
 
     @classmethod
     def of(cls, spec: FieldSpec, values) -> "VectorFq":
-        return cls(spec, tuple(v % spec.p for v in values))
+        """Integers, reduced mod p over a prime field; encodings in [0, q) otherwise."""
+        coords = tuple(v % spec.p if spec.e == 1 else v for v in values)
+        if not all(0 <= v < spec.order for v in coords):
+            raise GeometryError(f"{coords} holds an encoding outside [0, {spec.order})")
+        return cls(spec, coords)
 
     @property
     def d(self) -> int:
@@ -455,18 +459,17 @@ def iter_flats(g: GeometrySpec, r: int):
         return enumerate_subspaces(K, d, r)
     if r == 0:
         return iter([AffineFlat.empty(K, d)])
-    return (f for U in enumerate_subspaces(K, d, r - 1) for f in cosets(U))
+    return (f for U in enumerate_subspaces(K, d, r - 1)
+            for f in cosets((U,), K.encodings_lex()))
 
 
-def cosets(U: LinearSubspace):
-    """Every coset of U once, by canonical rep (zero on U's pivots), rep-lex order."""
-    K, d = U.spec, U.d
-    nonpivot = [j for j in range(d) if j not in U.pivots]
-    for values in itertools.product(K.encodings_lex(), repeat=len(nonpivot)):
-        rep = [0] * d
-        for j, val in zip(nonpivot, values):
-            rep[j] = val
-        yield AffineFlat(K, d, tuple(rep), U)
+def cosets(dirs, values):
+    """Every coset of the subspaces dirs, which share their pivots, once: for
+    each canonical rep (zero on the pivots, values elsewhere, in the order
+    of one product over the columns), a coset of each of dirs in turn."""
+    K, d, pivots = dirs[0].spec, dirs[0].d, dirs[0].pivots
+    cols = [(0,) if j in pivots else values for j in range(d)]
+    return (AffineFlat(K, d, rep, U) for rep in itertools.product(*cols) for U in dirs)
 
 
 def enumerate_points(g: GeometrySpec):

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import random
@@ -9,11 +10,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affgeo import (affine_steiner, codes, complete_design,
+from affgeo import (FlatFamily, affine_geometry, affine_poly_code,
+                    affine_steiner, codes, complete_design,
                     desarguesian_spread, expand_affine_design, field_new,
                     projective_geometry)
-from affgeo.blockfile import (ParseError, parse, parse_classical, render,
-                              render_classical)
+from affgeo.blockfile import (MAGIC, ParseError, parse, parse_classical,
+                              render, render_classical)
 from affgeo.cli import main
 from affgeo.flatspace import vec_add
 
@@ -77,6 +79,57 @@ def test_blockfile_noncanonical_text_parses_to_canonical(make):
     assert text != canon
     assert parse(text).sorted() == parse(canon)  # parse keeps the file's order
     assert render(parse(text)) == canon
+
+
+def render_oracle(fam):
+    """render as it was written before it built one string per block: a
+    list of lines, four or more appended per block."""
+    g = fam.geometry
+    K = g.field
+    modulus = ("" if K.p <= 10 else ",").join(str(c) for c in K.modulus)
+    lines = [MAGIC,
+             f"field p={K.p} e={K.e} modulus={modulus}",
+             f"space kind={g.kind} rank={g.rank}"]
+    spell = functools.cache(lambda v: " ".join(map(K.digits, v)))
+    for b in sorted(fam.blocks, key=lambda x: x.sort_key()):
+        lines.append("block")
+        if g.kind == "affine":
+            lines.append("rep " + spell(b.rep))
+            rows = b.dir.rows
+        else:
+            rows = b.rows
+        for row in rows:
+            lines.append("dir " + spell(row))
+    return "\n".join(lines) + "\n"
+
+
+def noncanonical_s7():
+    """S(2,3,7) parsed from text with its blocks reversed and every dir
+    pair written as (r0 + r1, r1), which is not in RREF."""
+    fam = affine_steiner(2, 3, 2)
+    K = fam.geometry.field
+    lines = render(fam).splitlines()[:3]
+    for b in reversed(fam.blocks):
+        r0, r1 = b.dir.rows
+        lines += ["block", "rep " + " ".join(map(K.digits, b.rep))]
+        lines += ["dir " + " ".join(map(K.digits, r)) for r in (vec_add(K, r0, r1), r1)]
+    text = "\n".join(lines) + "\n"
+    assert text != render(fam)
+    fam = parse(text)  # in the file's order
+    assert list(fam.blocks) != sorted(fam.blocks, key=lambda b: b.sort_key())
+    return fam
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_steiner(2, 3, 2),
+    lambda: desarguesian_spread(4, 2, 4),
+    lambda: affine_poly_code(19, 2, 1, 1),
+    noncanonical_s7,
+    lambda: FlatFamily(affine_geometry(field_new(2), 3), ()),
+], ids=["S(2,3,7)", "q4-spread", "q19-poly", "noncanonical-S(2,3,7)", "empty"])
+def test_render_matches_line_at_a_time_oracle(make):
+    fam = make()
+    assert render(fam).encode() == render_oracle(fam).encode()
 
 
 def test_classical_roundtrip():

@@ -1,13 +1,68 @@
+import itertools
+
 import pytest
 
 from affgeo import (AffineFlat, ConstructError, FlatFamily, GuardExceeded,
-                    LinearSubspace, affine_poly_code, affine_steiner,
-                    desarguesian_spread, field_new, is_skew, lin_meet,
+                    LinearSubspace, affine_geometry, affine_poly_code,
+                    affine_steiner, desarguesian_spread, enumerate_subspaces,
+                    field_new, is_skew, lin_meet,
                     max_pairwise_meet_rank, parallel_classes,
                     projective_geometry, through_zero, translate_closure,
                     verify_design)
+from affgeo.flatspace import iter_flats
 
 F2 = field_new(2)
+
+
+def old_cosets(U):
+    """Every coset of U by the per-coset loop that flatspace.cosets replaced:
+    canonical reps in rep-lex order of the encodings."""
+    K, d = U.spec, U.d
+    nonpivot = [j for j in range(d) if j not in U.pivots]
+    for values in itertools.product(K.encodings_lex(), repeat=len(nonpivot)):
+        rep = [0] * d
+        for j, val in zip(nonpivot, values):
+            rep[j] = val
+        yield AffineFlat(K, d, tuple(rep), U)
+
+
+def closure_oracle(B):
+    """The translation closure as a sort of all cosets by sort_key."""
+    return sorted((f for U in B.blocks for f in old_cosets(U)),
+                  key=lambda f: f.sort_key())
+
+
+@pytest.mark.parametrize("n,k,q", [(4, 2, 2), (6, 2, 2), (6, 3, 2), (8, 2, 2),
+                                   (4, 2, 3), (6, 3, 3), (4, 2, 4), (4, 2, 5),
+                                   (4, 2, 8), (4, 2, 9)])
+def test_translate_closure_builds_sort_key_order(n, k, q):
+    B = desarguesian_spread(n, k, q)
+    assert list(translate_closure(B).blocks) == closure_oracle(B)
+
+
+def test_translate_closure_order_of_an_unsorted_family():
+    """Not a spread, not sorted, and several pivot groups of several blocks."""
+    F4 = field_new(2, 2)
+    planes = list(enumerate_subspaces(F4, 4, 2))[::37][::-1]
+    assert planes != sorted(planes, key=lambda U: U.sort_key())
+    groups = [len(list(g)) for _, g in itertools.groupby(
+        sorted(planes, key=lambda U: U.sort_key()), key=lambda U: U.pivots)]
+    assert len(groups) > 2 and max(groups) > 1
+    B = FlatFamily(projective_geometry(F4, 4), tuple(planes))
+    closed = translate_closure(B)
+    assert list(closed.blocks) == closure_oracle(B)
+    assert len(closed) == len(planes) * 16
+
+
+@pytest.mark.parametrize("q,n,r", [(4, 3, 2), (4, 4, 3), (9, 3, 2)])
+def test_iter_flats_keeps_encodings_lex_order(q, n, r):
+    K = field_new(*{4: (2, 2), 9: (3, 2)}[q])
+    g = affine_geometry(K, n)
+    flats = list(iter_flats(g, r))
+    assert flats == [f for U in enumerate_subspaces(K, n - 1, r - 1)
+                     for f in old_cosets(U)]
+    # encodings_lex is not integer order here, so neither is this
+    assert flats != sorted(flats, key=lambda f: f.sort_key())
 
 
 def test_spread_partitions_pg():

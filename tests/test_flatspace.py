@@ -54,6 +54,19 @@ def test_lin_meet_join_agree_with_bruteforce():
         assert J.contains(U) and J.contains(V)
 
 
+def test_vectorfq_of_reduces_mod_p_over_a_prime_field():
+    assert VectorFq.of(F3, (4, -1, 3, 2)).coords == (1, 2, 0, 2)
+    assert VectorFq.of(F2, (2, 3)).coords == (0, 1)
+
+
+def test_vectorfq_of_rejects_encodings_outside_the_field():
+    F4 = field_new(2, 2)
+    assert VectorFq.of(F4, (2, 3, 0, 1)).coords == (2, 3, 0, 1)
+    for bad in [(2, 4), (-1, 0), (16,)]:  # no reduction mod p when e > 1
+        with pytest.raises(GeometryError):
+            VectorFq.of(F4, bad)
+
+
 def test_affine_flat_canonical_representative():
     dirU = sub(F2, 3, (1, 0, 0))
     # reps differing by a direction vector give the same flat
