@@ -29,8 +29,7 @@ _EXPORTS = {
     "codes": ("Ambiguity DecodeError Erasure correction_radius d_wedge decode "
               "deletion_discrepancy is_partial_steiner max_pairwise_meet_rank "
               "metric_violation_witness subspace_distance tau"),
-    "netsim": ("NetworkConfig SplitMix64 TrialStats propagate "
-               "random_affine_coeffs run_trials trial_rng"),
+    "netsim": "NetworkConfig SplitMix64 TrialStats propagate run_trials trial_rng",
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_MODULE_OF)

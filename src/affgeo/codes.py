@@ -19,7 +19,7 @@ import functools
 from . import design, flatspace
 from .design import FlatFamily
 from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
-                        LinearSubspace, aff_meet, lin_meet)
+                        LinearSubspace, PackedFlat, aff_meet, lin_meet)
 
 
 @functools.total_ordering
@@ -143,25 +143,31 @@ def decode(fam: FlatFamily, received):
     flat; the intersection is the containment test.  Once at most one
     candidate is left, it is looked for by id among the blocks through
     the next point, with no set built.  Candidates keep the order of
-    fam.blocks.
+    fam.blocks.  A PackedFlat over F_2 (what aff_closure gives for packed
+    points) has its keys already: rep, and rep ^ each row.
 
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
     """
     g = fam.geometry
-    affine = g.kind == "affine"
-    if affine and not isinstance(received, AffineFlat):
+    affine, packed = g.kind == "affine", isinstance(received, PackedFlat)
+    if affine and not (packed or isinstance(received, AffineFlat)):
         raise GeometryError("received flat must be affine for an affine code")
     rank = flatspace.flat_rank(received, g)
     if rank < 1:
         raise GeometryError("received flat must have rank >= 1")
     if not affine or g.q ** g.ambient_dim > 1 << 20:
+        if packed:
+            received = received.unpack()
         hits = [b for b in fam.blocks if b.contains(received)]
     else:
         K, index, rep = g.field, fam.point_blocks, received.rep
-        hits = index.get(x := K.pack(rep), ())
-        for row in received.dir.rows:  # over p = 2 packed vectors add by ^
-            key = x ^ K.pack(row) if K.p == 2 else K.pack(flatspace.vec_add(K, rep, row))
+        hits = index.get(x := rep if packed else K.pack(rep), ())
+        for row in received.rows if packed else received.dir.rows:
+            if packed:
+                key = x ^ row
+            else:  # over p = 2 packed vectors add by ^
+                key = x ^ K.pack(row) if K.p == 2 else K.pack(flatspace.vec_add(K, rep, row))
             on = index.get(key, ())
             if len(hits) < 2:  # at most one candidate: look for it, build no set
                 hits = [b for b in hits if id(b) in map(id, on)]

@@ -6,7 +6,8 @@ canonical coset representative plus a direction subspace.  Both are
 immutable galois.Record values (with hand-written __init__, __eq__ and
 __hash__, as they are built by the thousand), and canonical forms make
 equal flats compare and hash equal, which everything downstream
-(dedup, design verification, decoding) relies on.
+(dedup, design verification, decoding) relies on.  Over F_2, aff_closure
+also closes FieldSpec.pack ints, into a PackedFlat of packed ints.
 
 Geometries are coordinatized: AG(d, q) on the vectors of F_q^d and
 PG(d, q) on the subspaces of F_q^(d+1).  A GeometrySpec carries the
@@ -264,6 +265,31 @@ class AffineFlat(Record):
         return f"AffineFlat(rank={self.rank} of AG^{self.d})"
 
 
+class PackedFlat(Record):
+    """A nonempty flat of F_2^d as FieldSpec.pack ints, as aff_closure gives
+    for packed points: RREF rows, high to low, whose leading bits are their
+    pivots, and a rep reduced by them."""
+
+    __slots__ = ("spec", "d", "rep", "rows")
+
+    def __init__(self, spec: FieldSpec, d: int, rep: int, rows: tuple):
+        put = object.__setattr__
+        put(self, "spec", spec)
+        put(self, "d", d)
+        put(self, "rep", rep)
+        put(self, "rows", rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows) + 1
+
+    def unpack(self) -> AffineFlat:
+        """The same flat with tuple coordinates."""
+        K, d, rows = self.spec, self.d, self.rows
+        return AffineFlat(K, d, K.unpack(self.rep, d), LinearSubspace(
+            K, d, tuple([K.unpack(r, d) for r in rows]), tuple([d - r.bit_length() for r in rows])))
+
+
 class GeometrySpec(Record):
     """AG or PG over a fixed field, identified by total matroid rank n."""
 
@@ -325,9 +351,22 @@ def lin_join(U: LinearSubspace, V: LinearSubspace) -> LinearSubspace:
     return LinearSubspace.from_rows(U.spec, U.d, list(U.rows) + list(V.rows))
 
 
-def aff_closure(points, spec: FieldSpec | None = None) -> AffineFlat:
+def xor_reduce(v: int, rows) -> int:
+    """A packed vector over F_2 reduced by packed RREF rows, whose leading
+    bits are their pivots: each v = min(v, v ^ row) clears the pivot of row
+    from v, in any row order.  Zero iff v is in the rows' span."""
+    for row in rows:
+        v = min(v, v ^ row)
+    return v
+
+
+def aff_closure(points, spec: FieldSpec | None = None,
+                d: int | None = None) -> AffineFlat | PackedFlat:
     """Smallest coset containing the given nonempty point set: VectorFq
-    points, or with spec given, tuples of encodings over spec."""
+    points; with spec given, tuples of encodings over spec.  With spec F_2
+    and d given, the points are FieldSpec.pack ints of F_2^d, and their
+    closure, a PackedFlat, is an XOR basis of their differences from the
+    first point, kept in RREF."""
     if spec is None:
         pts = [p.coords if isinstance(p, VectorFq) else tuple(p) for p in points]
         specs = {p.spec for p in points if isinstance(p, VectorFq)}
@@ -339,8 +378,17 @@ def aff_closure(points, spec: FieldSpec | None = None) -> AffineFlat:
     if not points:
         raise GeometryError("affine closure of an empty set is undefined")
     base = points[0]
-    diffs = [vec_sub(spec, p, base) for p in points[1:]]
-    return AffineFlat.coset(base, LinearSubspace.from_rows(spec, len(base), diffs))
+    if d is None:
+        diffs = [vec_sub(spec, p, base) for p in points[1:]]
+        return AffineFlat.coset(base, LinearSubspace.from_rows(spec, len(base), diffs))
+    if spec.order != 2:
+        raise GeometryError("packed points add by ^ only over F_2")
+    basis = []
+    for p in points[1:]:
+        if v := xor_reduce(p ^ base, basis):  # a new pivot: clear it from the rows
+            basis = [min(row, row ^ v) for row in basis] + [v]
+    basis.sort(reverse=True)  # leading bits high to low: pivots left to right
+    return PackedFlat(spec, d, xor_reduce(base, basis), tuple(basis))
 
 
 def aff_meet(E: AffineFlat, F: AffineFlat) -> AffineFlat:
@@ -390,7 +438,7 @@ def parallel(E: AffineFlat, F: AffineFlat) -> bool:
 def flat_rank(f, g: GeometrySpec) -> int:
     """Matroid rank of a flat within its geometry."""
     if g.kind == "affine":
-        if not isinstance(f, AffineFlat) or f.d != g.ambient_dim or f.spec != g.field:
+        if not isinstance(f, (AffineFlat, PackedFlat)) or f.d != g.ambient_dim or f.spec != g.field:
             raise GeometryError("flat does not belong to this affine geometry")
         return f.rank
     if not isinstance(f, LinearSubspace) or f.d != g.ambient_dim or f.spec != g.field:

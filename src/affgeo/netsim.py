@@ -11,6 +11,8 @@ depend on execution order.
 
 propagate reads a trial's stream from one lane-parallel SplitMix64.peek
 and combines only for nodes whose vectors reach the sink (see its docstring).
+Over F_2 a trial's vectors are FieldSpec.pack ints, added by ^ (see
+run_trials); tuples of encodings serve q > 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from . import codes
 from .design import FlatFamily
-from .flatspace import aff_closure, combine, vec_add
+from .flatspace import aff_closure, combine, vec_add, xor_reduce
 from .galois import Record
 
 RNG_ID = "splitmix64"
@@ -70,13 +72,6 @@ class SplitMix64:
             out += struct.unpack(f"<{2 * lanes}Q", z.to_bytes(16 * lanes, "little"))[::2]
             s = (s + _LANES * _GAMMA) & _MASK
         return out
-
-    def chance(self, prob: Fraction) -> bool:
-        """below(n) < a for prob = a/n; no draw when prob is 0 or 1.  u64 % n
-        is not exactly uniform, so True's chance differs from a/n by at most
-        n/2^64: the seeded stream keeps that rather than rejection sampling."""
-        a, n = prob.numerator, prob.denominator
-        return self.below(n) < a if 0 < a < n else a > 0
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
@@ -128,13 +123,6 @@ def _affine_coeffs(K, raw) -> list:
     return coeffs + [add[1][K._neg[total]]]
 
 
-def random_affine_coeffs(rng: SplitMix64, K, s: int):
-    """s coefficients summing to 1: first s-1 uniform, last forced."""
-    if s < 1:
-        raise ValueError("need at least one coefficient")
-    return _affine_coeffs(K, [rng.next_u64() for _ in range(s - 1)])
-
-
 def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     """Push vectors through the layered DAG; returns the sink vectors.
 
@@ -148,9 +136,14 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     past each node's coefficient offsets (no later draw depends on them),
     so rng ends as after one pass of below calls.  Pass 2 combines only
     in the sink's ancestor cone; one nonzero coefficient forwards its input.
+    Over F_2 the sources may be FieldSpec.pack ints: pass 2 then XORs the
+    inputs whose coefficient is 1, and the sink vectors come back packed.
     """
     if not sources:
         raise ValueError("propagate needs at least one source vector")
+    packed = type(sources[0]) is int
+    if packed and spec.order != 2:
+        raise ValueError("packed vectors combine by ^ only over F_2")
     a, n, d = cfg.drop_prob.numerator, cfg.drop_prob.denominator, cfg.indegree
     e = 2 if 0 < a < n else 1  # outputs per live edge: its pick, then its drop
     z = rng.peek(cfg.layers * cfg.width * (d * e + d - 1) + cfg.sink_indegree * e)
@@ -179,23 +172,26 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     cones = [set(sink)]
     for ins, _ in reversed(layers[1:]):
         cones.append({j for i in cones[-1] for j in ins[i]})
-    vals, zero = sources, (0,) * len(sources[0])
+    vals, zero = sources, None if packed else (0,) * len(sources[0])
     for (ins, starts), cone in zip(layers, reversed(cones)):
         vals_next, get = {}, vals.__getitem__
         for i in cone:
-            at = starts[i]
-            lam = _affine_coeffs(spec, z[at:at + len(ins[i]) - 1])
+            got, at = ins[i], starts[i]
+            raw = z[at:at + len(got) - 1]
+            if packed:  # coefficient c % 2; the last one makes the count of 1s odd
+                v, odd = 0, False
+                for c, j in zip(raw, got):
+                    if c & 1:
+                        v, odd = v ^ get(j), not odd
+                vals_next[i] = v if odd else v ^ get(got[-1])
+                continue
+            lam = _affine_coeffs(spec, raw)
             if lam.count(0) == len(lam) - 1:  # the sum is 1, so the lone nonzero is 1
-                vals_next[i] = get(ins[i][lam.index(1)])
+                vals_next[i] = get(got[lam.index(1)])
             else:
-                vals_next[i] = combine(spec, zero, lam, map(get, ins[i]))
+                vals_next[i] = combine(spec, zero, lam, map(get, got))
         vals = vals_next
     return [vals[j] for j in sink]
-
-
-def _block_generators(block):
-    """k affinely independent points: rep and rep + each basis row."""
-    return [block.rep] + [vec_add(block.spec, block.rep, row) for row in block.dir.rows]
 
 
 def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
@@ -205,6 +201,13 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     forced_deletions switches from the random DAG to the exact deletion
     model: exactly that many direction vectors, chosen at random, are
     withheld from the receiver.
+
+    Over F_2 a trial's vectors are FieldSpec.pack ints: rep and rep ^ each
+    dir row (packed once per dir object, found by id), combined by ^ and
+    closed by an XOR basis into a PackedFlat, which is in the block when
+    its rep ^ the block's and its rows reduce to 0 by the block's rows, and
+    which decode looks up by its packed points.  Tuples serve q > 2.  Both
+    paths give the same statistics from the same stream.
     """
     if not code.blocks:
         raise ValueError("empty code")
@@ -217,13 +220,22 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     if forced_deletions is not None and not 0 <= forced_deletions <= k - 1:
         raise ValueError(f"forced deletions must be in [0, {k - 1}] for "
                          f"rank-{k} blocks, got {forced_deletions}")
-    K = g.field
+    K, blocks = g.field, code.blocks
+    d = g.ambient_dim if K.order == 2 else None  # over F_2, packed vectors of length d
+    pack, packed_rows = K.pack, {}
     successes = ambiguities = erasures = 0
     rank_total = 0
     for i in range(trials):
         rng = trial_rng(seed, i)
-        block = code.blocks[rng.below(len(code.blocks))]
-        points = _block_generators(block)
+        block = blocks[rng.below(len(blocks))]
+        if d is not None:
+            rows = packed_rows.get(id(block.dir))
+            if rows is None:
+                rows = packed_rows[id(block.dir)] = [pack(r) for r in block.dir.rows]
+            rep = pack(block.rep)
+            points = [rep] + [rep ^ r for r in rows]
+        else:  # k affinely independent points: rep and rep + each basis row
+            points = [block.rep] + [vec_add(K, block.rep, r) for r in block.dir.rows]
         if forced_deletions is not None:
             keep = list(range(1, len(points)))
             for _ in range(forced_deletions):
@@ -234,8 +246,12 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
         if not received_pts:
             erasures += 1
             continue
-        received = aff_closure(received_pts, K)
-        if not block.contains(received):
+        received = aff_closure(received_pts, K, d)
+        if d is None:
+            inside = block.contains(received)
+        else:
+            inside = not any(xor_reduce(v, rows) for v in (received.rep ^ rep, *received.rows))
+        if not inside:
             raise AssertionError("closure invariant violated: received not in block")
         rank_total += received.rank
         try:

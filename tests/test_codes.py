@@ -133,6 +133,40 @@ def test_decode_all_lines_of_all_blocks():
             assert decode(fam, line) == block
 
 
+def _packed(flat):
+    """The closure over F_2 of flat's rep and rep + each row, as packed ints."""
+    K, d = flat.spec, flat.d
+    rep = K.pack(flat.rep)
+    return aff_closure([rep] + [rep ^ K.pack(row) for row in flat.dir.rows], K, d)
+
+
+def _outcome(fam, received):
+    try:
+        return decode(fam, received)
+    except Ambiguity as exc:
+        return exc.candidates
+    except Erasure:
+        return Erasure
+
+
+def test_decode_packed_flat_as_its_unpacked_flat():
+    fam = affine_steiner(2, 2, 2)
+    for flat in [*enumerate_flats(fam.geometry, 1), *enumerate_flats(fam.geometry, 2),
+                 *enumerate_flats(fam.geometry, 3)]:
+        assert _outcome(fam, _packed(flat)) == _outcome(fam, flat)
+    # AG(21, 2) is too large for the point index: decode scans the blocks
+    g = affine_geometry(F2, 22)
+    planes = [AffineFlat.coset(v, LinearSubspace.from_rows(F2, 21, rows)) for v, rows in [
+        ((1,) * 21, [(1,) + (0,) * 20, (0, 1) + (0,) * 19]),
+        ((0,) * 21, [(1,) + (0,) * 20, (0,) * 20 + (1,)])]]
+    fam = FlatFamily(g, tuple(planes))
+    line = aff_closure([planes[1].rep, planes[1].dir.rows[0]], F2)
+    erased = AffineFlat.point(VectorFq.of(F2, (0, 1) + (0,) * 19))
+    assert _outcome(fam, erased) is Erasure
+    for flat in [*planes, line, erased]:
+        assert _outcome(fam, _packed(flat)) == _outcome(fam, flat)
+
+
 def pairwise_meet_rank(fam):
     """Oracle for the collision tally: the largest meet rank over all pairs."""
     affine = fam.geometry.kind == "affine"

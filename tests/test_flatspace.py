@@ -216,3 +216,20 @@ def test_canonical_equality_iff_same_point_set(E, F):
 @given(flats_f2_3(), flats_f2_3())
 def test_semimodular_inequality_af(E, F):
     assert aff_meet(E, F).rank + aff_join(E, F).rank <= E.rank + F.rank
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(*[st.integers(0, 1)] * d), min_size=1, max_size=8))))
+def test_packed_aff_closure_matches_tuple_closure(case):
+    # the XOR-basis closure on FieldSpec.pack ints against the tuple row kernel
+    d, pts = case
+    packed, flat = aff_closure([F2.pack(p) for p in pts], F2, d), aff_closure(pts, F2)
+    assert packed.unpack() == flat and packed.rank == flat.rank
+
+
+def test_packed_aff_closure_needs_f2():
+    with pytest.raises(GeometryError):
+        aff_closure([0, 1], F3, 2)
+    with pytest.raises(GeometryError):
+        aff_closure([], F2, 2)

@@ -44,7 +44,7 @@ EXPORTS = {
               "is_partial_steiner", "max_pairwise_meet_rank",
               "metric_violation_witness", "subspace_distance", "tau"],
     "netsim": ["NetworkConfig", "SplitMix64", "TrialStats", "propagate",
-               "random_affine_coeffs", "run_trials", "trial_rng"],
+               "run_trials", "trial_rng"],
 }
 
 # Runs `affgeo.cli.main(argv)` if argv is given, then prints the names in

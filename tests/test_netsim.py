@@ -4,14 +4,35 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affgeo import (NetworkConfig, SplitMix64, affine_poly_code, affine_steiner,
-                    field_new, propagate, random_affine_coeffs, run_trials,
+from affgeo import (Ambiguity, Erasure, NetworkConfig, SplitMix64, TrialStats,
+                    aff_closure, affine_geometry, affine_poly_code, affine_steiner,
+                    complete_design, decode, field_new, propagate, run_trials,
                     trial_rng)
-from affgeo.flatspace import combine, rref_rows
+from affgeo.flatspace import combine, rref_rows, vec_add
 
 F2 = field_new(2)
 CFG = NetworkConfig(layers=1, width=4, indegree=2,
                     drop_prob=Fraction(0), sink_indegree=4)
+
+
+# The drop and coefficient draws of the one-pass oracle below; src/ draws
+# both inside propagate and has no other caller for them.
+def chance(rng, prob):
+    """below(n) < a for prob = a/n; no draw when prob is 0 or 1.  u64 % n
+    is not exactly uniform, so True's chance differs from a/n by at most
+    n/2^64: the seeded stream keeps that rather than rejection sampling."""
+    a, n = prob.numerator, prob.denominator
+    return rng.below(n) < a if 0 < a < n else a > 0
+
+
+def random_affine_coeffs(rng, K, s):
+    """s coefficients summing to 1: first s-1 uniform, last forced."""
+    if s < 1:
+        raise ValueError("need at least one coefficient")
+    coeffs, total = [rng.next_u64() % K.order for _ in range(s - 1)], 0
+    for c in coeffs:
+        total = K.add(total, c)
+    return coeffs + [K.sub(1, total)]
 
 
 def test_splitmix64_reference_vector():
@@ -32,14 +53,14 @@ def test_trial_rng_substreams_differ_and_repeat():
 
 def test_chance_exact_extremes():
     rng = SplitMix64(1)
-    assert not any(rng.chance(Fraction(0)) for _ in range(100))
-    assert all(rng.chance(Fraction(1)) for _ in range(100))
+    assert not any(chance(rng, Fraction(0)) for _ in range(100))
+    assert all(chance(rng, Fraction(1)) for _ in range(100))
 
 
 def test_chance_frequency_within_3_sigma():
     rng = SplitMix64(5)
     n = 10_000
-    hits = sum(rng.chance(Fraction(1, 4)) for _ in range(n))
+    hits = sum(chance(rng, Fraction(1, 4)) for _ in range(n))
     # mean 2500, sigma = sqrt(n * 3/16) ~ 43.3
     assert abs(hits - 2500) <= 3 * 44
 
@@ -173,7 +194,7 @@ def test_chance_matches_its_formula_on_twin_generators():
     for prob in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(5, 7),
                  Fraction(2 ** 64 - 1, 2 ** 64), Fraction(1)):
         a, b = SplitMix64(17), SplitMix64(17)
-        assert [a.chance(prob) for _ in range(10_000)] == \
+        assert [chance(a, prob) for _ in range(10_000)] == \
                [old_chance(b, prob) for _ in range(10_000)]
         assert a.next_u64() == b.next_u64()  # the same number of draws
 
@@ -214,13 +235,13 @@ def _propagate_one_pass(cfg, spec, sources, rng):
     if not sources:
         raise ValueError("propagate needs at least one source vector")
     prev = list(sources)
-    below, chance, p = rng.below, rng.chance, cfg.drop_prob
+    below, p = rng.below, cfg.drop_prob
 
     def gather(n_edges, pool):
         got, m = [], len(pool)
         for _ in range(n_edges):
             v = pool[below(m)]
-            if v is not None and not chance(p):
+            if v is not None and not chance(rng, p):
                 got.append(v)
         return got
 
@@ -241,13 +262,13 @@ ORACLE_FIELDS = (field_new(2), field_new(3), field_new(2, 2), field_new(19))
 
 
 @st.composite
-def dag_cases(draw):
+def dag_cases(draw, fields=ORACLE_FIELDS):
     cfg = NetworkConfig(
         layers=draw(st.integers(1, 4)), width=draw(st.integers(1, 8)),
         indegree=draw(st.integers(1, 3)), sink_indegree=draw(st.integers(1, 4)),
         drop_prob=draw(st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2),
                                         Fraction(2, 3), Fraction(1)])))
-    K = draw(st.sampled_from(ORACLE_FIELDS))
+    K = draw(st.sampled_from(fields))
     d = draw(st.integers(1, 4))
     point = st.tuples(*[st.integers(0, K.order - 1)] * d)
     sources = draw(st.lists(point, min_size=1, max_size=4))
@@ -299,3 +320,115 @@ def test_peek_is_the_next_n_outputs(n, state):
     rng.skip(n)
     assert rng.state == twin.state
     assert rng.next_u64() == twin.next_u64()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dag_cases(fields=(F2,)))
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(0)), F2,
+          [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 7))
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(1, 2)), F2,
+          [(0, 1, 1, 0), (1, 1, 0, 1), (1, 0, 0, 0)], 3))
+def test_packed_propagate_matches_tuple_propagate(case):
+    cfg, K, sources, seed = case
+    packed, tuples = SplitMix64(seed), SplitMix64(seed)
+    d = len(sources[0])
+    for _ in range(3):
+        out = propagate(cfg, K, [K.pack(v) for v in sources], packed)
+        assert [K.unpack(x, d) for x in out] == propagate(cfg, K, sources, tuples)
+        assert packed.state == tuples.state
+
+
+def test_packed_propagate_needs_f2():
+    with pytest.raises(ValueError):
+        propagate(CFG, field_new(3), [0, 1], SplitMix64(0))
+
+
+# The tuple run_trials loop that the packed F_2 path replaced, kept as its
+# oracle: tuple generators, propagate and aff_closure on tuples,
+# block.contains and codes.decode on the closure.
+def _run_trials_tuples(code, cfg, trials, seed, forced_deletions=None):
+    K = code.geometry.field
+    successes = ambiguities = erasures = 0
+    rank_total = 0
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        block = code.blocks[rng.below(len(code.blocks))]
+        points = [block.rep] + [vec_add(K, block.rep, row) for row in block.dir.rows]
+        if forced_deletions is not None:
+            keep = list(range(1, len(points)))
+            for _ in range(forced_deletions):
+                keep.pop(rng.below(len(keep)))
+            received_pts = [points[0]] + [points[j] for j in keep]
+        else:
+            received_pts = propagate(cfg, K, points, rng)
+        if not received_pts:
+            erasures += 1
+            continue
+        received = aff_closure(received_pts, K)
+        assert block.contains(received)
+        rank_total += received.rank
+        try:
+            decoded = decode(code, received)
+        except Ambiguity:
+            ambiguities += 1
+            continue
+        except Erasure:
+            erasures += 1
+            continue
+        assert decoded == block
+        successes += 1
+    mean = Fraction(rank_total, trials) if trials else Fraction(0)
+    return TrialStats(trials, successes, ambiguities, erasures, mean, seed)
+
+
+F2_FAMILIES = {  # name: (family, trials per run)
+    "S(2,3,7)": (affine_steiner(2, 3, 2), 120),
+    "S(2,3,9)": (affine_steiner(2, 4, 2), 30),
+    "complete AG(4,2) planes": (complete_design(affine_geometry(F2, 5), 3), 60),
+    "complete AG(3,2) points": (complete_design(affine_geometry(F2, 4), 1), 40),
+}
+F2_DAGS = [NetworkConfig(layers=3, width=8, drop_prob=p)
+           for p in (Fraction(0), Fraction(1, 10), Fraction(1, 2), Fraction(1))] + [
+    NetworkConfig(**WIDE, drop_prob=Fraction(1, 3))]
+
+
+@pytest.mark.parametrize("name", list(F2_FAMILIES))
+@pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+def test_packed_run_trials_matches_tuple_oracle(name, seed):
+    code, trials = F2_FAMILIES[name]
+    for cfg in F2_DAGS:
+        assert run_trials(code, cfg, trials, seed) == \
+            _run_trials_tuples(code, cfg, trials, seed), cfg
+    for d in range(code.block_rank):
+        assert run_trials(code, CFG, trials, seed, forced_deletions=d) == \
+            _run_trials_tuples(code, CFG, trials, seed, forced_deletions=d), d
+
+
+def test_tuple_oracle_sees_ambiguities_and_erasures():
+    # the oracle comparison above is only as strong as the outcomes it covers
+    code, trials = F2_FAMILIES["complete AG(4,2) planes"]
+    stats = _run_trials_tuples(code, F2_DAGS[1], trials, 0)
+    assert stats.ambiguities and stats.successes
+    stats = _run_trials_tuples(code, F2_DAGS[2], trials, 0)
+    assert stats.erasures
+
+
+# Over F_2 a t=2 Steiner family's outcome is a function of the received
+# rank, and the block draw reads one stream output whatever b is, so seeded
+# reports agree between S(2,3,7) and S(2,3,9).
+@pytest.mark.parametrize("seed", [0, 4, 31])
+def test_seeded_reports_do_not_depend_on_the_steiner_family(seed):
+    s7, s9 = F2_FAMILIES["S(2,3,7)"][0], F2_FAMILIES["S(2,3,9)"][0]
+    for cfg in F2_DAGS[1:3] + [CFG]:
+        assert run_trials(s7, cfg, 200, seed) == run_trials(s9, cfg, 200, seed)
+    for d in range(3):
+        assert run_trials(s7, CFG, 200, seed, forced_deletions=d) == \
+            run_trials(s9, CFG, 200, seed, forced_deletions=d)
+
+
+def test_steiner_reports_pinned():
+    cfg = NetworkConfig(layers=3, width=8, drop_prob=Fraction(1, 10))
+    for code in (F2_FAMILIES["S(2,3,7)"][0], F2_FAMILIES["S(2,3,9)"][0]):
+        assert _report(run_trials(code, cfg, 500, seed=0)) == (315, 185, 0, Fraction(853, 500))
+        assert _report(run_trials(code, CFG, 300, seed=4, forced_deletions=2)) == \
+            (0, 300, 0, Fraction(1))
