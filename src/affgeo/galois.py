@@ -2,9 +2,11 @@
 
 Elements are stored as integers in [0, p^e) encoding polynomial-basis
 coordinates: the value sum(c_i * p^i) encodes the element with
-coefficients (c_0, ..., c_{e-1}), constant term first.  Each FieldSpec
-carries add/mul/neg/inv lookup tables, so per-operation cost is a couple
-of list indexings.  Fields are capped at ORDER_LIMIT elements; this is a
+coefficients (c_0, ..., c_{e-1}), constant term first.  Building a
+FieldSpec costs O(q): its exp/log, neg and inv tables.  The q x q add and
+mul tables that the row kernels index are built on first use, so a field
+that only does scalar arithmetic (the big field of a poly code) never
+builds them.  Fields are capped at ORDER_LIMIT elements; this is a
 desk-scale library, not a crypto one.
 
 The modulus for (p, e) is the lexicographically least monic irreducible
@@ -15,19 +17,21 @@ yields the same field.
 The tables are log/antilog tables (Lidl & Niederreiter, *Finite Fields*,
 ch. 9).  The least primitive element g, by encoding, is the least
 candidate with g^((q-1)/r) != 1 for each prime r | q-1 (square-and-
-multiply), and its powers are walked once by polynomial multiplication:
-q - 2 products plus a few per candidate, not the q^2 of a direct fill.  Then
-a*b = exp[log a + log b], a^-1 = exp[-log a], -a = exp[log a + log(-1)],
-so each mul row, and the neg row, is one itemgetter gather of log from a
-slice of the doubled exp list.  Addition is digitwise mod p: the add row
-of a + c*p^k (a < p^k) is the row of a with each p^(k+1)-block rotated
-left by c*p^k (for p = 2, its two halves swapped), and row 0 is
-list(range(q)).  So every row is built by C-level gathers and slices, no
-cell by Python bytecode, and every cell of every table is one of q shared
-int objects.  The modulus fixes every product, so the tables, and so
-every block file, do not depend on how they are computed.  The digit
-strings of all q elements and their inverse map are tables too, so
-writing and reading a block file costs one lookup per coordinate.
+multiply), and its powers are walked once by polynomial multiplication
+(over F_2, carry-less on the encodings): q - 2 products plus a few per
+candidate, not the q^2 of a direct fill.  The scalar methods need only
+these: a*b = exp[log a + log b], a^n = exp[n log a mod (q-1)],
+a^-1 = exp[-log a], -a = exp[log a + log(-1)], and addition is digitwise
+mod p (a ^ b for p = 2).  Each mul row is one itemgetter gather of log
+from a slice of the doubled exp list; the add row of a + c*p^k (a < p^k)
+is the row of a with each p^(k+1)-block rotated left by c*p^k (for p = 2,
+its two halves swapped), starting from the identity row.  So every row is
+built by C-level gathers and slices, no cell by Python bytecode, and
+every cell of every table is one of q shared int objects.  The modulus
+fixes every product, so the tables, and so every block file, do not
+depend on how they are computed.  The digit strings of all q elements
+and their inverse map are tables too, so writing and reading a block
+file costs one lookup per coordinate.
 pack/unpack are the library's one packing of a vector into an int,
 shared by the subflat keys, the point index and decode.
 """
@@ -169,6 +173,27 @@ def _least_irreducible(p: int, e: int) -> tuple:
     raise FieldError(f"no irreducible polynomial found for p={p}, e={e}")  # unreachable
 
 
+class _OnFirstRead:
+    """A method run on the first read of its name, its result then set as
+    a plain instance attribute that later reads find first.  Unlike
+    functools.cached_property it sets through setattr, not the instance
+    __dict__: on CPython 3.11 touching __dict__ makes every later
+    attribute read of the instance several times slower."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.build(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class FieldSpec:
     """The field F_{p^e} with a fixed irreducible modulus.
 
@@ -187,54 +212,81 @@ class FieldSpec:
         self._by_digits = {s: v for v, s in enumerate(self._digits)}
         self._hash = hash((p, e, modulus))
         self._width = (q - 1).bit_length()  # bits per packed digit
-        self._build_tables()
-
-    def _build_tables(self):
-        p, q = self.p, self.order
         vals = list(range(q))
-        exp = [*map(vals.__getitem__, self._primitive_powers())]  # vals' ints, not new ones
-        log = [0] * q
+        self.exp = exp = [*map(vals.__getitem__, self._primitive_powers())]  # vals' ints
+        self.log = log = [0] * q  # log[0] is a placeholder
         for i, v in enumerate(exp):
             log[v] = i
-        exp2, nz = exp + exp, log[1:]  # exp2[i + j] needs no reduction mod q - 1
-        gather = itemgetter(*log)  # q >= 2 indices give a tuple, never a scalar
+        self.exp2 = exp2 = exp + exp  # exp2[i + j] needs no reduction mod q - 1
+        self._inv = [0] + [exp[-la] for la in log[1:]]
+        half = 0 if p == 2 else (q - 1) // 2  # log(-1)
+        self._neg = [0] + [exp2[la + half] for la in log[1:]]
 
-        def row(shift):  # cell b > 0 is exp2[shift + log b]: the product by exp[shift]
-            r = list(gather(exp2[shift:shift + q - 1]))
-            r[0] = 0
-            return r
+    @_OnFirstRead
+    def _mul(self) -> list:
+        """The q x q product table: cell [a][b] is exp2[log a + log b]."""
+        q, exp2 = self.order, self.exp2
+        gather = itemgetter(*self.log)  # q >= 2 indices give a tuple, never a scalar
+        rows = [[0] * q]
+        for la in self.log[1:]:
+            row = list(gather(exp2[la:la + q - 1]))  # the product by exp[la]
+            row[0] = 0
+            rows.append(row)
+        return rows
 
-        self._mul = [[0] * q] + [row(la) for la in nz]
-        self._inv = [0] + [exp[-la] for la in nz]
-        self._neg = row(0 if p == 2 else (q - 1) // 2)  # the product by -1
-        add, n = [vals], 1
+    @_OnFirstRead
+    def _add(self) -> list:
+        """The q x q sum table, built by block rotations of the identity row."""
+        p, q = self.p, self.order
+        add, n = [[0, *sorted(self.exp)]], 1  # exp's ints, not new ones
         while n < q:  # row s + a (s = c*n, a < n): row a, each p*n-block rotated left by s
             w = p * n
             add += [list(chain.from_iterable(r[i + s:i + w] + r[i:i + s]
                                              for i in range(0, q, w)))
                     for s in range(n, w, n) for r in add[:n]]
             n = w
-        self._add = add
+        return add
 
     def _primitive_powers(self) -> list:
         """Encodings of g^0, ..., g^(q-2) for the least primitive element g:
-        the least g with g^((q-1)/r) != 1 for each prime r | q-1."""
-        q, coeffs, mod, p = self.order, self._coeffs, self.modulus, self.p
+        the least g with g^((q-1)/r) != 1 for each prime r | q-1.  Over
+        F_2 the encodings are multiplied as they are, carry-less; over odd
+        p as coefficient tuples."""
+        q, e, p, mod = self.order, self.e, self.p, self.modulus
         exps = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+        if p == 2:  # bit i of an encoding is its X^i coefficient
+            m, elem, enc = self.encode(mod), int, int
+
+            def mul(x, y):  # carry-less, reduced by m: a shift and <= 2 XORs per bit of y
+                prod = 0
+                while y:
+                    if y & 1:
+                        prod ^= x
+                    y >>= 1
+                    x <<= 1
+                    if x >> e:
+                        x ^= m
+                return prod
+        else:
+            elem, enc = self._coeffs.__getitem__, self.encode
+
+            def mul(x, y):
+                return _poly_mod_mul(x, y, mod, p)
 
         def power(x, k):  # square-and-multiply
             y = x
             for bit in bin(k)[3:]:
-                y = _poly_mod_mul(y, y, mod, p)
+                y = mul(y, y)
                 if bit == "1":
-                    y = _poly_mod_mul(y, x, mod, p)
+                    y = mul(y, x)
             return y
 
-        g = next(g for g in range(1, q) if all(power(coeffs[g], k) != coeffs[1] for k in exps))
-        powers, x = [1], coeffs[g]
-        while (v := self.encode(x)) != 1:
+        one = elem(1)
+        g = elem(next(g for g in range(1, q) if all(power(elem(g), k) != one for k in exps)))
+        powers, x = [1], g
+        while (v := enc(x)) != 1:
             powers.append(v)
-            x = _poly_mod_mul(x, coeffs[g], mod, p)
+            x = mul(x, g)  # g second: the carry-less product loops over its few bits
         return powers
 
     # --- encoding helpers -------------------------------------------------
@@ -250,16 +302,25 @@ class FieldSpec:
     # --- arithmetic on encodings -----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        p = self.p
+        if p == 2:
+            return a ^ b
+        s, k = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            s += (x + y) % p * k
+            k *= p
+        return s
 
     def neg(self, a: int) -> int:
         return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self.add(a, self._neg[b])
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.exp2[self.log[a] + self.log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -267,15 +328,11 @@ class FieldSpec:
         return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = 1
-        while n:
-            if n & 1:
-                result = self._mul[result][a]
-            a = self._mul[a][a]
-            n >>= 1
-        return result
+        if a == 0:
+            if n < 0:
+                raise FieldError("inversion of zero")
+            return 0 if n else 1
+        return self.exp[self.log[a] * n % (self.order - 1)]
 
     def pack(self, v) -> int:
         """The encodings of v as fixed-width digits of one int, most
@@ -382,7 +439,7 @@ class Embedding:
         images = [0]  # from_vector_enc of each vector, in itertools.product order
         for bp in reversed(self.beta_pows):  # the last coordinate varies fastest
             steps = [sup.mul(self.map_enc(c), bp) for c in range(sub.order)]
-            images = [sup._add[s][x] for s in steps for x in images]
+            images = [sup.add(s, x) for s in steps for x in images]
         vectors = itertools.product(range(sub.order), repeat=self.m)
         self._vectors = [v for _, v in sorted(zip(images, vectors))]
 

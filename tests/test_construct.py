@@ -9,7 +9,9 @@ from affgeo import (AffineFlat, ConstructError, FlatFamily, GuardExceeded,
                     max_pairwise_meet_rank, parallel_classes,
                     projective_geometry, through_zero, translate_closure,
                     verify_design)
+from affgeo import construct
 from affgeo.flatspace import iter_flats
+from affgeo.galois import Embedding, FieldSpec, _least_irreducible
 
 F2 = field_new(2)
 
@@ -160,6 +162,24 @@ def test_poly_code_custom_domain():
     fam = affine_poly_code(2, 3, 2, 2, U=U)
     assert len(fam) == 64
     assert all(b.rank == 3 for b in fam.blocks)
+
+
+@pytest.mark.parametrize("q,m", [(2, 9), (19, 2)])
+def test_poly_code_builds_no_table_of_the_big_field(monkeypatch, q, m):
+    built = []
+
+    def fresh_field(p, e):  # outside field_new's cache, so no other test built its tables
+        built.append(FieldSpec(p, e, _least_irreducible(p, e)))
+        return built[-1]
+
+    monkeypatch.setattr(construct, "field_new", fresh_field)
+    monkeypatch.setattr(construct, "embed", Embedding)  # uncached, so it embeds into L
+    fam = affine_poly_code(q, m, 1, 1)
+    (L,) = built
+    assert L.order == q ** m and len(fam) == q ** m
+    assert not {"_add", "_mul"} & vars(L).keys()
+    monkeypatch.undo()
+    assert fam.blocks == affine_poly_code(q, m, 1, 1).blocks
 
 
 def test_poly_code_param_validation():

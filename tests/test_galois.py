@@ -1,10 +1,12 @@
 import itertools
+import pickle
 import random
 
 import pytest
 
 from affgeo import FieldError, embed, field_new, field_of_order
 from affgeo.flatspace import rref_rows
+from affgeo.galois import ORDER_LIMIT, FieldSpec, _is_prime, _least_irreducible
 
 
 def test_prime_field_basics():
@@ -220,6 +222,102 @@ def test_table_cells_share_one_int_per_value(p, e):
     cells = [x for table in (K._add, K._mul) for row in table for x in row]
     assert all(one.setdefault(x, x) is x for x in cells + K._neg + K._inv)
     assert sorted(one) == list(range(K.order))
+
+
+# --- table-free scalar methods against the lazily built q x q tables ----------
+
+ALL_FIELDS = [(p, e) for p in range(2, ORDER_LIMIT + 1) if _is_prime(p)
+              for e in range(1, 10) if p ** e <= ORDER_LIMIT]
+
+
+def fresh_field(p, e):
+    """A FieldSpec outside field_new's cache, so no other test built its tables."""
+    return FieldSpec(p, e, _least_irreducible(p, e))
+
+
+def table_pow(K, a, n):
+    """a^n by square-and-multiply over the _mul table; n < 0 through _inv."""
+    if n < 0:
+        a, n = K._inv[a], -n
+    result = 1
+    while n:
+        if n & 1:
+            result = K._mul[result][a]
+        a = K._mul[a][a]
+        n >>= 1
+    return result
+
+
+def scalar_ops(K, pairs, elements, exponents):
+    return ([(K.add(a, b), K.sub(a, b), K.mul(a, b)) for a, b in pairs]
+            + [(K.neg(a), K.inv(a) if a else None) for a in elements]
+            + [K.pow(a, n) for a in elements for n in exponents if a or n >= 0])
+
+
+def table_ops(K, pairs, elements, exponents):
+    add, mul, neg = K._add, K._mul, K._neg
+    return ([(add[a][b], add[a][neg[b]], mul[a][b]) for a, b in pairs]
+            + [(neg[a], K._inv[a] if a else None) for a in elements]
+            + [table_pow(K, a, n) for a in elements for n in exponents if a or n >= 0])
+
+
+@pytest.mark.parametrize("p,e", ALL_FIELDS)
+def test_scalar_ops_match_tables_in_either_access_order(p, e):
+    q = p ** e
+    if q <= 32:
+        elements = list(range(q))
+        pairs = list(itertools.product(elements, repeat=2))
+    else:
+        rng = random.Random(f"scalar-{p}-{e}")
+        elements = sorted({0, 1, q - 1} | {rng.randrange(q) for _ in range(40)})
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        pairs += [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
+    exponents = (0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 5, -1, -2, 1 - q, -q - 3)
+    scalar_first, tables_first = fresh_field(p, e), fresh_field(p, e)
+    scalar = scalar_ops(scalar_first, pairs, elements, exponents)
+    assert not {"_add", "_mul"} & vars(scalar_first).keys()  # no table was built
+    assert table_ops(scalar_first, pairs, elements, exponents) == scalar
+    tables = table_ops(tables_first, pairs, elements, exponents)
+    assert scalar_ops(tables_first, pairs, elements, exponents) == tables == scalar
+    for K in (scalar_first, tables_first):  # each table built once, then a plain attribute
+        assert vars(K)["_add"] is K._add and vars(K)["_mul"] is K._mul
+    for K in (scalar_first, tables_first):
+        assert K.pow(0, 0) == 1 and K.pow(0, 1) == 0 and K.pow(0, q) == 0
+        assert all(K.mul(a, K.pow(a, -1)) == 1 for a in elements if a)
+        for call in (lambda: K.inv(0), lambda: K.pow(0, -1), lambda: K.pow(0, -q)):
+            with pytest.raises(FieldError, match="^inversion of zero$"):
+                call()
+
+
+def oracle_primitive_powers(K):
+    """Encodings of the powers of the least element of order q - 1, walked
+    by schoolbook products of coefficient tuples."""
+    q, p, e = K.order, K.p, K.e
+    coeff = [tuple((v // p ** i) % p for i in range(e)) for v in range(q)]
+    enc = {c: v for v, c in enumerate(coeff)}
+    for g in range(1, q):
+        powers, x = [1], coeff[g]
+        while x != coeff[1]:
+            powers.append(enc[x])
+            x = oracle_poly_mul(x, coeff[g], K.modulus, p)
+        if len(powers) == q - 1:
+            return powers
+
+
+@pytest.mark.parametrize("p,e", ALL_FIELDS)
+def test_exp_log_are_powers_of_the_least_primitive_element(p, e):
+    K = field_new(p, e)
+    assert K.exp == oracle_primitive_powers(K)
+    assert K.exp2 == K.exp * 2
+    assert [K.log[v] for v in K.exp] == list(range(K.order - 1))
+
+
+def test_field_pickled_before_its_tables_builds_equal_tables():
+    K = fresh_field(19, 2)
+    clone = pickle.loads(pickle.dumps(K))
+    assert clone == K and not {"_add", "_mul"} & vars(clone).keys()
+    assert clone._mul == K._mul and clone._add == K._add
+    assert (clone.exp, clone.log, clone._neg, clone._inv) == (K.exp, K.log, K._neg, K._inv)
 
 
 # --- coordinate map oracle: the per-call matrix product over F_p ---------------
