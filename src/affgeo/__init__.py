@@ -9,12 +9,12 @@ imports the one module that defines it (PEP 562).
 _EXPORTS = {
     "galois": "FieldError FieldSpec embed field_new field_of_order",
     "flatspace": ("AffineFlat GeometryError GeometrySpec GuardExceeded "
-                  "LinearSubspace VectorFq affine_geometry aff_closure aff_join "
-                  "aff_meet count_flats count_points enumerate_flats "
-                  "enumerate_points enumerate_subspaces flat_rank "
-                  "gaussian_binomial hyperplane_restriction lin_join lin_meet "
+                  "LinearSubspace affine_geometry aff_closure aff_join aff_meet "
+                  "count_flats count_points enumerate_flats enumerate_points "
+                  "enumerate_subspaces flat_rank gaussian_binomial "
+                  "hyperplane_restriction lin_join lin_meet "
                   "normalize_projective_point parallel projective_completion "
-                  "projective_geometry rref"),
+                  "projective_geometry"),
     "matroid": ("MatroidOracle NotAPmd PmdType closure exchange_check "
                 "flats_lattice free_matroid geometrize_type geometry_matroid "
                 "geometry_pmd_type graphic_matroid independent lattice_distance "

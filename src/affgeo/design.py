@@ -148,27 +148,18 @@ class VerifyResult(Record):
 
 # --- subflat enumeration ------------------------------------------------------
 
-class SubflatShapes(list):
-    """The (S, cs) pairs of subflat_shapes(); lift(D) lifts every S into the
-    block direction D, once per D, for all the blocks parallel to D."""
-
-    def __init__(self, pairs):
-        super().__init__(pairs)
-        self.lift = cache(lambda D: [_lift(S, D) for S, _ in self])
-
-
-def subflat_shapes(g: GeometrySpec, k: int, t: int) -> SubflatShapes:
+def subflat_shapes(g: GeometrySpec, k: int, t: int) -> list:
     """The per-level part of subflats() for rank-k blocks, computed once:
     (S, cs) for each subspace S in block coordinates (dim t in PG, t-1 in
     AG) and, in AG, the coset coefficient tuples cs, zero on S's pivots."""
     K = g.field
     if g.kind == "projective":
-        return SubflatShapes((S, ()) for S in flatspace.enumerate_subspaces(K, k, t))
+        return [(S, ()) for S in flatspace.enumerate_subspaces(K, k, t)]
     if t == 0:
-        return SubflatShapes(())
+        return []
     lex = K.encodings_lex()
-    return SubflatShapes((S, [f.rep for f in flatspace.cosets((S,), lex)])
-                         for S in flatspace.enumerate_subspaces(K, k - 1, t - 1))
+    return [(S, [f.rep for f in flatspace.cosets((S,), lex)])
+            for S in flatspace.enumerate_subspaces(K, k - 1, t - 1)]
 
 
 def subflats(block, t: int, g: GeometrySpec, shapes=None):
@@ -183,7 +174,8 @@ def subflats(block, t: int, g: GeometrySpec, shapes=None):
     if t == 0:
         return [AffineFlat.empty(K, d)]
     out = []
-    for T, (_, cs) in zip(shapes.lift(D), shapes):
+    for S, cs in shapes:
+        T = _lift(S, D)
         out += [AffineFlat(K, d, rep, T)
                 for rep in sorted(combine(K, block.rep, c, D.rows) for c in cs)]
     return out
@@ -270,9 +262,9 @@ class FlatKeys:
             dir_parts = parts.get(id(D))
             if dir_parts is None:
                 dir_parts = parts[id(D)] = [
-                    (self.pack(itertools.chain(*T.rows)) << bits,
+                    (self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
                      [self.rep(combine(K, zero, c, D.rows)) for c in cs])
-                    for T, (_, cs) in zip(shapes.lift(D), shapes)]
+                    for S, cs in shapes]
             r, keys = rep(b.rep), []
             for dir_key, offsets in dir_parts:
                 keys += sorted([dir_key | add(r, o) for o in offsets])
@@ -316,8 +308,9 @@ def _judge(tally: Counter, total: int, everything) -> VerifyResult:
     return VerifyResult(False, witness=wit, counts=(lo, hi))
 
 
-def lambda_s(p: DesignParams, typ: PmdType, s: int) -> Fraction:
-    """Derived index: lambda * prod_{i=s}^{t-1} (f_n - f_i) / (f_k - f_i)."""
+def lambda_s(p: DesignParams, typ, s: int):
+    """Derived index: lambda * prod_{i=s}^{t-1} (f_n - f_i) / (f_k - f_i), a
+    Fraction, for the f of typ, a matroid.PmdType."""
     from fractions import Fraction
     if not 0 <= s <= p.t:
         raise DesignError(f"s={s} out of range [0, {p.t}]")

@@ -1,13 +1,13 @@
 """Subspaces and affine flats over F_q in canonical form.
 
-Vectors are tuples of field-element encodings (see galois.FieldSpec);
-a LinearSubspace stores a reduced row-echelon basis, an AffineFlat a
-canonical coset representative plus a direction subspace.  Both are
-immutable galois.Record values (with hand-written __init__, __eq__ and
-__hash__, as they are built by the thousand), and canonical forms make
-equal flats compare and hash equal, which everything downstream
-(dedup, design verification, decoding) relies on.  Over F_2, aff_closure
-also closes FieldSpec.pack ints, into a PackedFlat of packed ints.
+A point is a tuple of field-element encodings (see galois.FieldSpec), or
+over F_2 a FieldSpec.pack int.  A LinearSubspace stores a reduced
+row-echelon basis, an AffineFlat a canonical coset representative plus a
+direction subspace.  Both are immutable galois.Record values (with
+hand-written __init__, __eq__ and __hash__, as they are built by the
+thousand), and canonical forms make equal flats compare and hash equal,
+which everything downstream (dedup, design verification, decoding)
+relies on.  aff_closure closes packed points into a PackedFlat.
 
 Geometries are coordinatized: AG(d, q) on the vectors of F_q^d and
 PG(d, q) on the subspaces of F_q^(d+1).  A GeometrySpec carries the
@@ -103,27 +103,6 @@ def combine(K: FieldSpec, start, coeffs, rows):
 
 # --- core types -------------------------------------------------------------
 
-class VectorFq(Record):
-    """A point of AG(d, q): a coordinate vector over a fixed field."""
-
-    __slots__ = ("spec", "coords")  # coords are encodings
-
-    @classmethod
-    def of(cls, spec: FieldSpec, values) -> "VectorFq":
-        """Integers, reduced mod p over a prime field; encodings in [0, q) otherwise."""
-        coords = tuple(v % spec.p if spec.e == 1 else v for v in values)
-        if not all(0 <= v < spec.order for v in coords):
-            raise GeometryError(f"{coords} holds an encoding outside [0, {spec.order})")
-        return cls(spec, coords)
-
-    @property
-    def d(self) -> int:
-        return len(self.coords)
-
-    def __repr__(self):
-        return f"VectorFq({' '.join(self.spec.digits(c) for c in self.coords)})"
-
-
 class LinearSubspace(Record):
     """A subspace of F_q^d, stored as its unique RREF basis."""
 
@@ -213,13 +192,8 @@ class AffineFlat(Record):
 
     @classmethod
     def coset(cls, rep, dir: LinearSubspace) -> "AffineFlat":
-        rep = rep.coords if isinstance(rep, VectorFq) else tuple(rep)
         canon = reduce_vector(dir.spec, dir.rows, dir.pivots, rep)
         return cls(dir.spec, dir.d, canon, dir)
-
-    @classmethod
-    def point(cls, v: VectorFq) -> "AffineFlat":
-        return cls.coset(v, LinearSubspace.zero(v.spec, v.d))
 
     @property
     def is_empty(self) -> bool:
@@ -320,20 +294,6 @@ def projective_geometry(field: FieldSpec, rank: int) -> GeometrySpec:
 
 # --- operations -------------------------------------------------------------
 
-def rref(rows) -> LinearSubspace:
-    """Canonical subspace spanned by the given vectors."""
-    rows = list(rows)
-    if not rows:
-        raise GeometryError("cannot infer ambient dimension from no rows")
-    spec = rows[0].spec if isinstance(rows[0], VectorFq) else None
-    if spec is None:
-        raise GeometryError("rref expects VectorFq rows")
-    d = rows[0].d
-    if any(r.spec != spec or r.d != d for r in rows):
-        raise GeometryError("rows disagree on field or length")
-    return LinearSubspace.from_rows(spec, d, [r.coords for r in rows])
-
-
 def lin_meet(U: LinearSubspace, V: LinearSubspace) -> LinearSubspace:
     """Intersection of subspaces (Zassenhaus block elimination)."""
     if (U.spec, U.d) != (V.spec, V.d):
@@ -360,21 +320,11 @@ def xor_reduce(v: int, rows) -> int:
     return v
 
 
-def aff_closure(points, spec: FieldSpec | None = None,
-                d: int | None = None) -> AffineFlat | PackedFlat:
-    """Smallest coset containing the given nonempty point set: VectorFq
-    points; with spec given, tuples of encodings over spec.  With spec F_2
-    and d given, the points are FieldSpec.pack ints of F_2^d, and their
-    closure, a PackedFlat, is an XOR basis of their differences from the
-    first point, kept in RREF."""
-    if spec is None:
-        pts = [p.coords if isinstance(p, VectorFq) else tuple(p) for p in points]
-        specs = {p.spec for p in points if isinstance(p, VectorFq)}
-        if len(specs) > 1:
-            raise GeometryError("points disagree on field")
-        if pts and not specs:
-            raise GeometryError("aff_closure expects VectorFq points")
-        spec, points = next(iter(specs), None), pts
+def aff_closure(points, spec: FieldSpec, d: int | None = None) -> AffineFlat | PackedFlat:
+    """Smallest coset containing the given nonempty point set: tuples of
+    encodings over spec.  With spec F_2 and d given, the points are
+    FieldSpec.pack ints of F_2^d, and their closure, a PackedFlat, is an XOR
+    basis of their differences from the first point, kept in RREF."""
     if not points:
         raise GeometryError("affine closure of an empty set is undefined")
     base = points[0]

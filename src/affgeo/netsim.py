@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import codes
 from .design import FlatFamily
-from .flatspace import aff_closure, combine, vec_add, xor_reduce
+from .flatspace import aff_closure, check_guard, combine, vec_add, xor_reduce
 from .galois import Record
 
 RNG_ID = "splitmix64"
@@ -75,9 +75,8 @@ class SplitMix64:
 
 
 def trial_rng(seed: int, index: int) -> SplitMix64:
-    """Independent substream for one trial."""
-    mixer = SplitMix64((seed & _MASK) ^ ((index + 1) * _GAMMA) & _MASK)
-    return SplitMix64(mixer.next_u64())
+    """A trial's stream, seeded by the first output of SplitMix64(seed ^ (index + 1) * _GAMMA)."""
+    return SplitMix64(_mix(((seed ^ (index + 1) * _GAMMA) + _GAMMA) & _MASK, _MASK))
 
 
 class NetworkConfig(Record):
@@ -131,7 +130,8 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     node holds nothing.  A node with no surviving inputs emits nothing.
 
     One rng.peek mixes, lane-parallel, every output the trial can read:
-    O(layers * width * indegree) ints, the order of pass 1's input lists.
+    O(layers * width * indegree) ints, the order of pass 1's input lists;
+    GuardExceeded is raised first if they are more than ENUMERATION_GUARD.
     Pass 1 reads picks and drops in stream order, noting and stepping
     past each node's coefficient offsets (no later draw depends on them),
     so rng ends as after one pass of below calls.  Pass 2 combines only
@@ -146,7 +146,9 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
         raise ValueError("packed vectors combine by ^ only over F_2")
     a, n, d = cfg.drop_prob.numerator, cfg.drop_prob.denominator, cfg.indegree
     e = 2 if 0 < a < n else 1  # outputs per live edge: its pick, then its drop
-    z = rng.peek(cfg.layers * cfg.width * (d * e + d - 1) + cfg.sink_indegree * e)
+    check_guard(draws := cfg.layers * cfg.width * (d * e + d - 1) + cfg.sink_indegree * e,
+                "draws per trial")
+    z = rng.peek(draws)
     k, live, layers = 0, [True] * len(sources), []
     for width, deg in [(cfg.width, d)] * cfg.layers + [(1, cfg.sink_indegree)]:
         ins, starts, m = [], [], len(live)

@@ -255,6 +255,20 @@ def test_cli_guard_exit(capsys, tmp_path):
                  "--n", "13", "--k", "6", "--out", str(tmp_path / "big")]) == 3
 
 
+def test_cli_simulate_dag_guard_exit(tmp_path, capsys):
+    """A DAG of 10^8 nodes would peek 3 * 10^8 draws per trial: exit 3 before
+    any is drawn.  Forced deletions build no DAG, so its size is no bar there."""
+    blocks = tmp_path / "s7.blocks"
+    main(["construct", "affine-steiner", "--q", "2", "--k", "2", "--l", "3",
+          "--out", str(blocks)])
+    capsys.readouterr()
+    dag = ["simulate", str(blocks), "--trials", "1", "--layers", "1000", "--width", "100000"]
+    assert main(dag) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "draws per trial" in err
+    assert main([*dag, "--forced-deletions", "1"]) == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["poly-code", "--q", "2", "--m", "9", "--l", "2", "--t", "3"],  # 512^3 blocks
     ["affine-steiner", "--q", "2", "--k", "2", "--l", "12"],

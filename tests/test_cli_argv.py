@@ -136,11 +136,14 @@ PROBES = [
 ]
 
 
-def _reference(argv):
+PARSER = build_parser()  # the parity test's oracle, built once: see test_reused_parser_*
+
+
+def _reference(argv, parser=PARSER):
     """(exit code, None) where argparse exits, else (None, its attributes)."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return None, vars(build_parser().parse_args(argv))
+            return None, vars(parser.parse_args(argv))
         except SystemExit as exc:
             return exc.code, None
 
@@ -158,7 +161,7 @@ def _recorded(want):
     return (want, None) if isinstance(want, int) else (None, want)
 
 
-DIFFERING = [argv for argv, want in PROBES if _reference(argv) != _recorded(want)]
+DIFFERING = [argv for argv, want in PROBES if _reference(argv, build_parser()) != _recorded(want)]
 
 
 @pytest.mark.parametrize("argv, want", PROBES, ids=[" ".join(a) or "[]" for a, _ in PROBES])
@@ -176,6 +179,12 @@ def test_cli_departures_from_argparse():
     assert _ours([V, "a", "--t=--"]) == (2, None)
     assert _ours(["expand", "a", "--mode", "ev11", "--out=--"]) == (
         None, {"command": "expand", "infile": "a", "mode": "ev11", "out": "--"})
+
+
+def test_reused_parser_reads_probes_as_a_fresh_one():
+    # parse_args keeps no state between calls, so one oracle serves every example
+    for argv, _ in PROBES * 2:
+        assert _reference(argv) == _reference(argv, build_parser()), argv
 
 
 @st.composite

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from affgeo import (AffineFlat, Ambiguity, Erasure, FlatFamily, GeometrySpec,
-                    LinearSubspace, VectorFq, aff_closure, aff_meet,
+                    LinearSubspace, aff_closure, aff_meet,
                     affine_geometry, affine_poly_code, affine_steiner,
                     complete_design, correction_radius, d_wedge, decode,
                     deletion_discrepancy, desarguesian_spread,
@@ -53,9 +53,9 @@ def test_d_wedge_violates_triangle_inequality():
 
 
 def test_deletion_discrepancy():
-    line = aff_closure([VectorFq.of(F2, (0, 0, 0)), VectorFq.of(F2, (1, 0, 0))])
-    pt = AffineFlat.point(VectorFq.of(F2, (0, 0, 0)))
-    out = AffineFlat.point(VectorFq.of(F2, (0, 1, 0)))
+    line = aff_closure([(0, 0, 0), (1, 0, 0)], F2)
+    pt = aff_closure([(0, 0, 0)], F2)
+    out = aff_closure([(0, 1, 0)], F2)
     assert deletion_discrepancy(line, pt) == 1
     assert deletion_discrepancy(line, line) == 0
     assert deletion_discrepancy(line, out) == INFINITY
@@ -108,15 +108,15 @@ def test_decode_success_erasure_ambiguity():
     fam = affine_steiner(2, 2, 2)
     g = fam.geometry
     block = fam.blocks[0]
-    pts = [VectorFq.of(F2, p) for p in block.points()]
+    pts = block.points()
     # a line inside the block decodes uniquely (radius 1: one deletion)
-    line = aff_closure(pts[:2])
+    line = aff_closure(pts[:2], F2)
     assert decode(fam, line) == block
     # the whole block decodes to itself
     assert decode(fam, block) == block
     # a single point is ambiguous: it lies on lambda_1 = 5 blocks
     with pytest.raises(Ambiguity) as exc:
-        decode(fam, AffineFlat.point(pts[0]))
+        decode(fam, aff_closure(pts[:1], F2))
     assert len(exc.value.candidates) == 5
     assert block in exc.value.candidates
     # a flat contained in no block is an erasure
@@ -161,7 +161,7 @@ def test_decode_packed_flat_as_its_unpacked_flat():
         ((0,) * 21, [(1,) + (0,) * 20, (0,) * 20 + (1,)])]]
     fam = FlatFamily(g, tuple(planes))
     line = aff_closure([planes[1].rep, planes[1].dir.rows[0]], F2)
-    erased = AffineFlat.point(VectorFq.of(F2, (0, 1) + (0,) * 19))
+    erased = aff_closure([(0, 1) + (0,) * 19], F2)
     assert _outcome(fam, erased) is Erasure
     for flat in [*planes, line, erased]:
         assert _outcome(fam, _packed(flat)) == _outcome(fam, flat)

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affgeo import (AffineFlat, GeometryError, GuardExceeded, LinearSubspace,
-                    VectorFq, aff_closure, aff_join, aff_meet,
+                    aff_closure, aff_join, aff_meet,
                     affine_geometry, count_flats, count_points,
                     enumerate_flats, enumerate_points, enumerate_subspaces,
                     field_new, flat_rank, gaussian_binomial,
                     hyperplane_restriction, lin_join, lin_meet,
                     normalize_projective_point, parallel,
-                    projective_completion, projective_geometry, rref)
+                    projective_completion, projective_geometry)
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -33,7 +33,7 @@ def test_rref_idempotent_and_membership():
     U = sub(F3, 3, (1, 2, 0), (2, 1, 1), (0, 0, 0))
     assert U.dim == 2
     assert LinearSubspace.from_rows(F3, 3, U.rows) == U
-    assert rref([VectorFq.of(F3, r) for r in U.rows]) == U
+    assert LinearSubspace.from_rows(F3, 3, [(2, 1, 1), (1, 2, 0)]) == U
     vecs = U.vectors()
     assert len(vecs) == 9 and len(set(vecs)) == 9
     assert all(U.contains_vector(v) for v in vecs)
@@ -54,19 +54,6 @@ def test_lin_meet_join_agree_with_bruteforce():
         assert J.contains(U) and J.contains(V)
 
 
-def test_vectorfq_of_reduces_mod_p_over_a_prime_field():
-    assert VectorFq.of(F3, (4, -1, 3, 2)).coords == (1, 2, 0, 2)
-    assert VectorFq.of(F2, (2, 3)).coords == (0, 1)
-
-
-def test_vectorfq_of_rejects_encodings_outside_the_field():
-    F4 = field_new(2, 2)
-    assert VectorFq.of(F4, (2, 3, 0, 1)).coords == (2, 3, 0, 1)
-    for bad in [(2, 4), (-1, 0), (16,)]:  # no reduction mod p when e > 1
-        with pytest.raises(GeometryError):
-            VectorFq.of(F4, bad)
-
-
 def test_affine_flat_canonical_representative():
     dirU = sub(F2, 3, (1, 0, 0))
     # reps differing by a direction vector give the same flat
@@ -81,8 +68,8 @@ def test_empty_flat():
     e = AffineFlat.empty(F2, 3)
     assert e.is_empty and e.rank == 0
     assert list(e.points()) == []
-    p = AffineFlat.point(VectorFq.of(F2, (1, 0, 0)))
-    q = AffineFlat.point(VectorFq.of(F2, (0, 1, 0)))
+    p = aff_closure([(1, 0, 0)], F2)
+    q = aff_closure([(0, 1, 0)], F2)
     assert aff_meet(p, q) == e
 
 
@@ -97,11 +84,10 @@ def test_aff_meet_matches_pointwise_intersection():
 
 
 def test_aff_join_is_closure_of_union():
-    E = AffineFlat.point(VectorFq.of(F2, (1, 0, 0)))
+    E = aff_closure([(1, 0, 0)], F2)
     F = AffineFlat.coset((0, 1, 0), sub(F2, 3, (0, 0, 1)))
-    pts = [VectorFq.of(F2, p) for p in list(E.points()) + list(F.points())]
     J = aff_join(E, F)
-    assert J == aff_closure(pts)
+    assert J == aff_closure(E.points() + F.points(), F2)
     assert J.rank == 3
 
 
@@ -161,7 +147,7 @@ def test_enumeration_guard():
 def test_flat_rank_conventions():
     ag = affine_geometry(F2, 4)
     pg = projective_geometry(F2, 4)
-    pt = AffineFlat.point(VectorFq.of(F2, (1, 1, 0)))
+    pt = aff_closure([(1, 1, 0)], F2)
     assert flat_rank(pt, ag) == 1
     with pytest.raises(GeometryError):
         flat_rank(pt, affine_geometry(F2, 3))  # wrong ambient dimension
@@ -201,7 +187,7 @@ def flats_f2_3(draw):
     pts = draw(st.lists(
         st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
         min_size=1, max_size=4))
-    return aff_closure([VectorFq.of(F2, t) for t in pts])
+    return aff_closure(pts, F2)
 
 
 @settings(max_examples=60, deadline=None)

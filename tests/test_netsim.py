@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affgeo import (Ambiguity, Erasure, NetworkConfig, SplitMix64, TrialStats,
+from affgeo import (Ambiguity, Erasure, GuardExceeded, NetworkConfig, SplitMix64, TrialStats,
                     aff_closure, affine_geometry, affine_poly_code, affine_steiner,
                     complete_design, decode, field_new, propagate, run_trials,
                     trial_rng)
@@ -341,6 +341,25 @@ def test_packed_propagate_matches_tuple_propagate(case):
 def test_packed_propagate_needs_f2():
     with pytest.raises(ValueError):
         propagate(CFG, field_new(3), [0, 1], SplitMix64(0))
+
+
+def test_propagate_guards_the_draws_it_peeks():
+    # layers * width * (indegree * e + indegree - 1) + sink_indegree * e draws,
+    # e = 1 at p = 0 and 2 at 0 < p < 1: a trial may peek 10^7 of them, not more
+    class Peeked(Exception):
+        pass
+
+    class Stream(SplitMix64):
+        def peek(self, n):
+            raise Peeked(n)
+    for width, sink, p in [(3333332, 4, Fraction(0)), (1999998, 5, Fraction(1, 2))]:
+        with pytest.raises(Peeked) as exc:
+            propagate(NetworkConfig(width=width, sink_indegree=sink, drop_prob=p),
+                      F2, [0, 1], Stream(0))
+        assert exc.value.args == (10 ** 7,)
+        with pytest.raises(GuardExceeded, match="draws per trial exceed the guard"):
+            propagate(NetworkConfig(width=width, sink_indegree=sink + 1, drop_prob=p),
+                      F2, [0, 1], Stream(0))
 
 
 # The tuple run_trials loop that the packed F_2 path replaced, kept as its

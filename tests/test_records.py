@@ -13,8 +13,7 @@ import pytest
 
 from affgeo.design import (ClassicalDesign, DesignError, DesignParams,
                            FlatFamily, VerifyResult)
-from affgeo.flatspace import (AffineFlat, GeometrySpec, LinearSubspace,
-                              VectorFq, affine_geometry)
+from affgeo.flatspace import AffineFlat, GeometrySpec, LinearSubspace, affine_geometry
 from affgeo.galois import field_new
 from affgeo.matroid import CheckReport, PmdType
 from affgeo.netsim import NetworkConfig, TrialStats
@@ -27,7 +26,6 @@ A = AffineFlat.coset((0, 1), U)
 # instance, its fields in order, and its repr from when the types were frozen
 # dataclasses
 RECORDS = {
-    "VectorFq": (VectorFq(F3, (1, 2)), dict(spec=F3, coords=(1, 2)), "VectorFq(1 2)"),
     "LinearSubspace": (U, dict(spec=F3, d=2, rows=((1, 2),), pivots=(0,)),
                        "LinearSubspace(dim=1 of F^2)"),
     "AffineFlat": (A, dict(spec=F3, d=2, rep=(0, 1), dir=U), "AffineFlat(rank=2 of AG^2)"),
