@@ -44,8 +44,8 @@ def desarguesian_spread(n: int, k: int, q: int) -> FlatFamily:
                 row.extend(emb.to_vector_enc(c))
             rows.append(tuple(row))
         blocks.append(LinearSubspace.from_rows(F, n, rows))
-    geom = projective_geometry(F, n)
-    return FlatFamily(geom, tuple(blocks)).sorted()
+    blocks.sort(key=LinearSubspace.sort_key)
+    return FlatFamily(projective_geometry(F, n), tuple(blocks))
 
 
 def translate_closure(B: FlatFamily) -> FlatFamily:
@@ -70,9 +70,8 @@ def through_zero(D: FlatFamily) -> FlatFamily:
     if g.kind != "affine":
         raise ConstructError("through_zero expects an affine family")
     zero = (0,) * g.ambient_dim
-    blocks = tuple(b.dir for b in D.blocks if b.rep == zero)
-    geom = projective_geometry(g.field, g.rank - 1)
-    return FlatFamily(geom, blocks).sorted()
+    blocks = sorted((b.dir for b in D.blocks if b.rep == zero), key=LinearSubspace.sort_key)
+    return FlatFamily(projective_geometry(g.field, g.rank - 1), tuple(blocks))
 
 
 def affine_steiner(k: int, ell: int, q: int) -> FlatFamily:
@@ -141,7 +140,8 @@ def affine_poly_code(q: int, m: int, ell: int, t: int,
             g_x0 = L.add(a, f_at_x0)
             rep = zero_l + emb.to_vector_enc(g_x0)
             blocks.append(AffineFlat.coset(rep, dir_sub))
-    fam = FlatFamily(geom, tuple(blocks)).sorted()
+    blocks.sort(key=AffineFlat.sort_key)
+    fam = FlatFamily(geom, tuple(blocks))
     if len(fam) != L.order ** t:
         raise ConstructError("distinct polynomials produced coinciding blocks")
     return fam

@@ -2,12 +2,13 @@
 classical-design expansions.
 
 A FlatFamily is a geometry plus a deduplicated list of equal-rank flats
-(blocks).  verify_design counts, for every rank-t flat of the geometry,
-how many blocks contain it; the count is obtained by enumerating each
-block's rank-t subflats and tallying, which is linear in the blocks
+(blocks); an affine one holds its parallel classes (dirs, dir_of), which
+every per-direction reader indexes.  verify_design counts, for every
+rank-t flat of the geometry, how many blocks contain it, by enumerating
+each block's rank-t subflats and tallying, which is linear in the blocks
 rather than in all (t-flat, block) pairs.  The tally counts packed int
 keys (FlatKeys), not flat objects: a block's subflat keys are its packed
-rep plus offsets packed once per block direction.  subflats() gives the
+rep plus offsets packed once per entry of dirs.  subflats() gives the
 same subflats as objects; the tests tally those as the oracle.  There is
 one packing, FieldSpec.pack: the tally keys, FlatFamily.point_blocks and
 codes.decode all key vectors by it.
@@ -33,48 +34,46 @@ class DesignError(ValueError):
     pass
 
 
-_spec, _d, _dir, _rep, _pivots, _rows = map(
-    operator.attrgetter, ("spec", "d", "dir", "rep", "pivots", "rows"))
+_spec, _d, _dir, _rep = map(operator.attrgetter, ("spec", "d", "dir", "rep"))
 
 
 class FlatFamily(Record):
     """A uniform-rank family of flats in one geometry (design, code, spread).
 
-    The check that blocks are distinct and of one rank groups blocks of one
-    flat class by the ids of their field, d and direction objects (for a
-    LinearSubspace block, its pivots), which parallel blocks share after
-    parse and construct.  Groups equal by value are merged, each hashed
-    once; in a merged group, blocks are equal when their reps (rows) are,
-    and flat_rank runs once per group.  Mixed or foreign classes are
-    checked block by block.  Errors come as a per-block check raises them:
+    An affine family holds a direction table: dirs, its distinct direction
+    subspaces (equal ones merged by value) in order of first appearance,
+    and dir_of, each block's index into dirs; other families get ().  Both
+    live in the instance __dict__: the fields, ==, hash, repr and pickle
+    stay (geometry, blocks).  The check that blocks are distinct and of one
+    rank builds the table: AffineFlats of one field and d are grouped by the
+    ids of their directions, groups equal by value merged, and blocks of one
+    direction are equal when their reps are; flat_rank runs once per group.
+    Others go block by block.  Errors come as a per-block check raises them:
     a duplicate first, then a block foreign to the geometry, then ranks.
     """
 
-    # __dict__ holds the cached point_blocks; families stay weakly referenceable
+    # __dict__ holds dirs, dir_of and the cached point_blocks; weakly referenceable
     __slots__ = ("geometry", "blocks", "__dict__", "__weakref__")
 
     def __post_init__(self):
-        blocks, kinds = self.blocks, set(map(type, self.blocks))
-        if kinds == {AffineFlat} or kinds == {LinearSubspace}:
-            affine, shared = (True, _dir) if AffineFlat in kinds else (False, _pivots)
-
-            def raw():  # each block's group key, made twice rather than kept
-                return zip(map(id, map(_spec, blocks)), map(_d, blocks),
-                           map(id, map(_dir, blocks)) if affine else map(_pivots, blocks))
-            groups, merged = dict(zip(raw(), blocks)), {}
-            reps = {k: merged.setdefault((b.spec, b.d, shared(b)), set())
-                    for k, b in groups.items()}  # one set of reps per merged group
-            deque(map(set.add, map(reps.__getitem__, raw()),
-                      map(_rep if affine else _rows, blocks)), 0)
-            distinct = sum(map(len, merged.values())) == len(blocks)
-            ranked = groups.values()
-        else:  # no blocks, or blocks of mixed or foreign classes: one at a time
+        blocks, dirs, dir_of = self.blocks, (), ()
+        if (set(map(type, blocks)) == {AffineFlat}
+                and len(set(map(_spec, blocks))) == len(set(map(_d, blocks))) == 1):
+            ids = list(map(id, map(_dir, blocks)))
+            groups, merged = dict(zip(ids, blocks)), {}  # merged: dir -> index in dirs
+            where = {i: merged.setdefault(b.dir, len(merged)) for i, b in groups.items()}
+            dirs, dir_of = tuple(merged), tuple(map(where.__getitem__, ids))
+            reps = [set() for _ in dirs]  # one set of reps per direction
+            deque(map(set.add, map(reps.__getitem__, dir_of), map(_rep, blocks)), 0)
+            distinct, ranked = sum(map(len, reps)) == len(blocks), groups.values()
+        else:  # projective, empty, mixed, or of several fields or d: one at a time
             distinct, ranked = len(set(blocks)) == len(blocks), blocks
         if not distinct:
             raise DesignError("blocks must be pairwise distinct")
         ranks = {flat_rank(b, self.geometry) for b in ranked}
         if len(ranks) > 1:
             raise DesignError(f"blocks have mixed ranks {sorted(ranks)}")
+        vars(self).update(dirs=dirs, dir_of=dir_of)
 
     @property
     def block_rank(self) -> int:
@@ -85,23 +84,16 @@ class FlatFamily(Record):
     @cached_property
     def point_blocks(self) -> dict:
         """Point -> blocks through it (affine families), built on first use.
-        Points are keyed by FieldSpec.pack ints.  Each direction object's
-        vectors are converted once, found by id, as parallel blocks share
-        it; a block's points are its rep plus each of them, added as in
-        FlatKeys (one ^ over p = 2), in the order of points()."""
+        Points are keyed by FieldSpec.pack ints: a block's points are its
+        rep plus each of its direction's packed vectors (FlatKeys.offsets),
+        in the order of points()."""
         keys = FlatKeys(self.geometry, 1)
-        rep, add = cache(keys.rep), keys.add
-        index, offsets = {}, {}
-        for b in self.blocks:
-            if b.rep is None:  # the empty flat
-                continue
-            D = b.dir
-            o = offsets.get(id(D))
-            if o is None:
-                o = offsets[id(D)] = [keys.rep(v) for v in D.vectors()]
-            r = rep(b.rep)
-            for x in o:
-                index.setdefault(add(r, x), []).append(b)
+        rep, add, index = cache(keys.rep), keys.add, {}
+        for b, o in zip(self.blocks, map(keys.offsets(self).__getitem__, self.dir_of)):
+            if o:  # not the empty flat
+                r = rep(b.rep)
+                for x in o:
+                    index.setdefault(add(r, x), []).append(b)
         return index
 
     def sorted(self) -> "FlatFamily":
@@ -238,12 +230,17 @@ class FlatKeys:
         *rows, rep = vectors  # an affine key packs t-1 rows, then the rep
         return AffineFlat(K, d, rep, LinearSubspace.from_rows(K, d, rows))
 
+    def offsets(self, fam: FlatFamily) -> list:
+        """Each entry of fam.dirs as its packed vectors ([] for None, the empty
+        flat's): a block's points are add(rep(b.rep), o) for each o of its entry."""
+        return [[self.rep(v) for v in D.vectors()] if D else [] for D in fam.dirs]
+
     def subflats(self, fam: FlatFamily):
         """Per block of fam, the keys of its rank-t subflats in subflats() order.
 
-        Each direction object D's lifted shapes and coset offsets c*D.rows
-        are packed once, found by id(D); a block then adds its packed rep
-        to each offset.
+        Each entry D of fam.dirs has its lifted shapes and coset offsets
+        c*D.rows packed once; a block adds its packed rep to each offset of
+        its entry, fam.dirs[fam.dir_of[i]].
         """
         g, t = self.g, self.t
         shapes = subflat_shapes(g, fam.block_rank, t)
@@ -256,15 +253,13 @@ class FlatKeys:
                 yield [0]
             return
         K, zero, bits = g.field, (0,) * g.ambient_dim, self.bits
-        rep, add, parts = cache(self.rep), self.add, {}  # parts by id(dir)
-        for b in fam.blocks:
-            D = b.dir
-            dir_parts = parts.get(id(D))
-            if dir_parts is None:
-                dir_parts = parts[id(D)] = [
-                    (self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
-                     [self.rep(combine(K, zero, c, D.rows)) for c in cs])
-                    for S, cs in shapes]
+        rep, add, parts = cache(self.rep), self.add, [None] * len(fam.dirs)
+        for b, j in zip(fam.blocks, fam.dir_of):
+            if (dir_parts := parts[j]) is None:  # on first use: the meet rank may stop early
+                D = fam.dirs[j]
+                dir_parts = parts[j] = [(self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
+                                         [self.rep(combine(K, zero, c, D.rows)) for c in cs])
+                                        for S, cs in shapes]
             r, keys = rep(b.rep), []
             for dir_key, offsets in dir_parts:
                 keys += sorted([dir_key | add(r, o) for o in offsets])
@@ -363,9 +358,15 @@ def expand_affine_design(fam: FlatFamily, t: int) -> ClassicalDesign:
         raise DesignError("expand_affine_design needs an affine family")
     if not (t == 2 or (t == 3 and g.q == 2)):
         raise DesignError(f"unsupported expansion: t={t}, q={g.q}")
-    _, index = point_index(g)
-    blocks = tuple(frozenset(index[p] for p in b.points()) for b in fam.blocks)
-    return ClassicalDesign(len(index), blocks)
+    pts, _ = point_index(g)
+    index = dict(zip(map(g.field.pack, pts), range(len(pts))))  # by packed point
+    keys = FlatKeys(g, 1)
+    rep, add, offsets = cache(keys.rep), keys.add, keys.offsets(fam)
+    blocks = []
+    for b, o in zip(fam.blocks, map(offsets.__getitem__, fam.dir_of)):
+        r = o and rep(b.rep)  # the empty flat has no points
+        blocks.append(frozenset([index[add(r, x)] for x in o]))
+    return ClassicalDesign(len(pts), tuple(blocks))
 
 
 def verify_classical(design: ClassicalDesign, t: int) -> VerifyResult:
@@ -401,7 +402,7 @@ def parallel_classes(fam: FlatFamily) -> int:
         raise DesignError("parallel classes are an affine notion")
     if not fam.blocks:
         raise DesignError("empty family")
-    return len({b.dir for b in fam.blocks})
+    return len(fam.dirs)
 
 
 def is_skew(fam: FlatFamily) -> bool:

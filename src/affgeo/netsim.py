@@ -205,11 +205,11 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     withheld from the receiver.
 
     Over F_2 a trial's vectors are FieldSpec.pack ints: rep and rep ^ each
-    dir row (packed once per dir object, found by id), combined by ^ and
-    closed by an XOR basis into a PackedFlat, which is in the block when
-    its rep ^ the block's and its rows reduce to 0 by the block's rows, and
-    which decode looks up by its packed points.  Tuples serve q > 2.  Both
-    paths give the same statistics from the same stream.
+    dir row (packed once per entry of code.dirs, read through code.dir_of),
+    combined by ^ and closed by an XOR basis into a PackedFlat, which is in
+    the block when its rep ^ the block's and its rows reduce to 0 by the
+    block's rows, and which decode looks up by its packed points.  Tuples
+    serve q > 2.  Both paths give the same statistics from the same stream.
     """
     if not code.blocks:
         raise ValueError("empty code")
@@ -222,19 +222,17 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     if forced_deletions is not None and not 0 <= forced_deletions <= k - 1:
         raise ValueError(f"forced deletions must be in [0, {k - 1}] for "
                          f"rank-{k} blocks, got {forced_deletions}")
-    K, blocks = g.field, code.blocks
+    K, blocks, dir_of = g.field, code.blocks, code.dir_of
     d = g.ambient_dim if K.order == 2 else None  # over F_2, packed vectors of length d
-    pack, packed_rows = K.pack, {}
+    pack = K.pack  # a D of None is the empty flat's direction
+    packed_rows = [] if d is None else [D and list(map(pack, D.rows)) for D in code.dirs]
     successes = ambiguities = erasures = 0
     rank_total = 0
     for i in range(trials):
         rng = trial_rng(seed, i)
-        block = blocks[rng.below(len(blocks))]
+        block = blocks[j := rng.below(len(blocks))]
         if d is not None:
-            rows = packed_rows.get(id(block.dir))
-            if rows is None:
-                rows = packed_rows[id(block.dir)] = [pack(r) for r in block.dir.rows]
-            rep = pack(block.rep)
+            rows, rep = packed_rows[dir_of[j]], pack(block.rep)
             points = [rep] + [rep ^ r for r in rows]
         else:  # k affinely independent points: rep and rep + each basis row
             points = [block.rep] + [vec_add(K, block.rep, r) for r in block.dir.rows]

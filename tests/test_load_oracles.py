@@ -6,19 +6,25 @@ must give an equal family in the same block order, or the same
 ParseError message.  reference_check is the per-block FlatFamily check
 that the grouped one replaced: on families with duplicate, mixed-rank,
 foreign and empty blocks, the grouped check must raise the same
-exception type and message, in the same precedence.
+exception type and message, in the same precedence.  The direction
+table the check builds (FlatFamily.dirs, dir_of) must be the blocks'
+parallel classes by value, and every reader of it must give the same
+results on twin directions (equal, on distinct objects) as on shared ones.
 """
 
 import functools
+import itertools
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affgeo import (AffineFlat, FlatFamily, LinearSubspace, affine_steiner,
-                    desarguesian_spread, field_new)
+from affgeo import (AffineFlat, FlatFamily, LinearSubspace, NetworkConfig,
+                    affine_steiner, desarguesian_spread, expand_affine_design,
+                    field_new, max_pairwise_meet_rank, run_trials, verify_design)
 from affgeo.blockfile import MAGIC, ParseError, _parse_vec, _render_modulus, parse, render
 from affgeo.design import DesignError
 from affgeo.flatspace import (GeometryError, GeometrySpec, enumerate_flats,
@@ -335,3 +341,73 @@ def test_family_check_sees_equal_blocks_on_distinct_objects(name):
     with pytest.raises(DesignError, match="pairwise distinct"):
         FlatFamily(fam.geometry, fam.blocks + (twin,))
     assert FlatFamily(fam.geometry, fam.blocks[:-1] + (twin,)) == fam
+
+
+# --- the direction table ------------------------------------------------------------
+
+AG4 = BASES["S(2,3,5)"].geometry
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=families())
+@example(case=(AG4, ()))
+@example(case=(AG4, (AffineFlat.empty(AG4.field, AG4.ambient_dim),)))
+def test_direction_table_is_the_parallel_classes(case):
+    g, blocks = case
+    if _raised(lambda: FlatFamily(g, blocks)):
+        return  # rejected: the check oracle above covers it
+    fam = FlatFamily(g, blocks)
+    if g.kind == "projective" or not blocks:
+        assert fam.dirs == fam.dir_of == ()
+        return
+    assert len(fam.dir_of) == len(blocks)
+    assert all(fam.dirs[j] == b.dir for j, b in zip(fam.dir_of, blocks))
+    assert all(D != E for D, E in itertools.combinations(fam.dirs, 2))
+    assert len(fam.dirs) == len({b.dir for b in blocks})  # the old parallel_classes
+    assert fam.dirs == tuple(dict.fromkeys(b.dir for b in blocks))  # first appearance
+
+
+def _twinned(fam):
+    """fam with every other block replaced by its _twin."""
+    return FlatFamily(fam.geometry, tuple(
+        _twin(b) if i % 2 else b for i, b in enumerate(fam.blocks)))
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_twin_directions_share_one_table_entry(name):
+    fam = BASES[name]
+    twin = _twinned(fam)
+    assert twin == fam and FlatFamily._fields == ("geometry", "blocks")
+    assert (twin.dirs, twin.dir_of) == (fam.dirs, fam.dir_of)
+    assert pickle.loads(pickle.dumps(twin)).dir_of == fam.dir_of
+    if fam.geometry.kind == "projective":
+        assert fam.dirs == ()
+    else:
+        assert len({id(b.dir) for b in twin.blocks}) > len(twin.dirs) > 1
+
+
+def _respelled(fam):
+    """fam parsed back from its file with every other block's dir rows
+    respelled (r1 + r0, r0, ...): equal directions on distinct objects."""
+    g = fam.geometry
+    lines = render(fam).splitlines()
+    for i in range(1, len(fam.blocks), 2):
+        _edit(lines, "basis", i, 0, g.field, g.ambient_dim)
+    return parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("how", ["twin", "basis"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_readers_agree_on_twin_directions(q, how):
+    fam = affine_steiner(2, 3, 2) if q == 2 else affine_steiner(2, 2, 3)
+    other = _respelled(fam) if how == "basis" else _twinned(fam)
+    assert other == fam and len({id(b.dir) for b in other.blocks}) > len(other.dirs)
+    assert other.point_blocks == fam.point_blocks
+    for t in (1, 2):
+        assert verify_design(other, t) == verify_design(fam, t)
+    assert max_pairwise_meet_rank(other) == max_pairwise_meet_rank(fam)
+    assert expand_affine_design(other, 2) == expand_affine_design(fam, 2)
+    dag = NetworkConfig(layers=3, width=8, drop_prob=Fraction(1, 10))
+    for cfg, forced in ((dag, None), (NetworkConfig(), None), (dag, 1), (dag, 2)):
+        assert (run_trials(other, cfg, 200, 7, forced)
+                == run_trials(fam, cfg, 200, 7, forced))

@@ -137,6 +137,12 @@ def test_run_trials_drop_everything():
     assert stats.erasures == 50 and stats.successes == 0
 
 
+def test_run_trials_runs_no_trial_of_the_empty_flat():
+    code = complete_design(affine_geometry(F2, 3), 0)  # the empty flat, direction None
+    assert code.dirs == (None,)
+    assert run_trials(code, CFG, 0, seed=1) == TrialStats(0, 0, 0, 0, Fraction(0), 1)
+
+
 def test_propagate_full_rank_regression_seed99():
     # with indegree 2 over F_2 mixing is rare; frozen baseline
     sources = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0),
