@@ -7,8 +7,8 @@ every per-direction reader indexes.  verify_design counts, for every
 rank-t flat of the geometry, how many blocks contain it, by enumerating
 each block's rank-t subflats and tallying, which is linear in the blocks
 rather than in all (t-flat, block) pairs.  The tally counts packed int
-keys (FlatKeys), not flat objects: a block's subflat keys are its packed
-rep plus offsets packed once per entry of dirs.  subflats() gives the
+keys (FlatKeys), not flat objects: a block's subflat keys are FlatKeys.add
+of its rep and offsets made once per entry of dirs.  subflats() gives the
 same subflats as objects; the tests tally those as the oracle.  There is
 one packing, FieldSpec.pack: the tally keys, FlatFamily.point_blocks and
 codes.decode all key vectors by it.
@@ -83,22 +83,30 @@ class FlatFamily(Record):
 
     @cached_property
     def point_blocks(self) -> dict:
-        """Point -> blocks through it (affine families), built on first use.
-        Points are keyed by FieldSpec.pack ints: a block's points are its
-        rep plus each of its direction's packed vectors (FlatKeys.offsets),
-        in the order of points()."""
-        keys = FlatKeys(self.geometry, 1)
-        rep, add, index = cache(keys.rep), keys.add, {}
-        for b, o in zip(self.blocks, map(keys.offsets(self).__getitem__, self.dir_of)):
-            if o:  # not the empty flat
-                r = rep(b.rep)
-                for x in o:
-                    index.setdefault(add(r, x), []).append(b)
+        """Point -> blocks through it (affine families), built on first use:
+        keys are FieldSpec.pack ints, in the order of points(), and lists keep
+        the order of blocks.  Over F_{2^e} a point is the packed rep ^ an offset;
+        over odd p one itemgetter per digit gathers all a block's points from
+        the rep's row of FlatKeys.rows (a lone index twice, to give a tuple)."""
+        keys, index = FlatKeys(self.geometry, 1), {}
+        if self.geometry.field.p == 2:
+            rep, offsets = cache(keys.rep), keys.offsets(self)
+            for b, o in zip(self.blocks, map(offsets.__getitem__, self.dir_of)):
+                if o:  # not the empty flat
+                    r = rep(b.rep)
+                    for x in o:
+                        index.setdefault(r ^ x, []).append(b)
+            return index
+        entries = [(len(vs), [operator.itemgetter(*(col * 2 if len(vs) == 1 else col))
+                              for col in zip(*vs)])
+                   for vs in (D.vectors() if D else [] for D in self.dirs)]
+        for b, (m, gathers) in zip(self.blocks, map(entries.__getitem__, self.dir_of)):
+            points = itertools.repeat(0, m)  # m sums, not 2 for a lone vector
+            for gather, row, c in zip(gathers, keys.rows, b.rep or ()):
+                points = map(operator.add, points, gather(row[c]))
+            for x in points:
+                index.setdefault(x, []).append(b)
         return index
-
-    def sorted(self) -> "FlatFamily":
-        return FlatFamily(self.geometry,
-                          tuple(sorted(self.blocks, key=lambda b: b.sort_key())))
 
     def __len__(self):
         return len(self.blocks)
@@ -198,20 +206,16 @@ class FlatKeys:
         self.bits = K._width * g.ambient_dim
         self.pack = K.pack
         self.unpack = lambda x: K.unpack(x, g.ambient_dim)
-        # rep + offset, chosen once per field: encodings of F_{2^e} add by
-        # XOR, so packed reps and offsets add with one ^; over odd p they
-        # stay tuples and add by table rows, packed in the same loop
+        # add(rep(v), offset(o)) packs v + o, chosen once per field: over F_{2^e}
+        # by one ^; over odd p an offset is d rows of the add table (rows), row i
+        # that of o_i shifted to digit i, and v + o packs as the sum of v's cells
         if K.p == 2:
-            self.rep, self.add = K.pack, operator.xor
+            self.rep, self.offset, self.add = K.pack, K.pack, operator.xor
             return
-        add, w = K._add, K._width
-
-        def packed_sum(r, o) -> int:  # K.pack(vec_add(K, r, o)), no tuple
-            x = 0
-            for a, b in zip(r, o):
-                x = x << w | add[a][b]
-            return x
-        self.rep, self.add = tuple, packed_sum
+        w, d, getrow = K._width, g.ambient_dim, list.__getitem__
+        self.rows = [[[x << s for x in row] for row in K._add] for s in range(w * (d - 1), -1, -w)]
+        self.rep, self.offset = tuple, lambda v: list(map(getrow, self.rows, v))
+        self.add = lambda r, o: sum(map(getrow, o, r))
 
     def key(self, f) -> int:
         """The key of a rank-t flat of g."""
@@ -231,16 +235,17 @@ class FlatKeys:
         return AffineFlat(K, d, rep, LinearSubspace.from_rows(K, d, rows))
 
     def offsets(self, fam: FlatFamily) -> list:
-        """Each entry of fam.dirs as its packed vectors ([] for None, the empty
-        flat's): a block's points are add(rep(b.rep), o) for each o of its entry."""
-        return [[self.rep(v) for v in D.vectors()] if D else [] for D in fam.dirs]
+        """Each entry of fam.dirs as its vectors, each an offset ([] for None,
+        the empty flat's): a block's points are add(rep(b.rep), o) for each o
+        of its entry."""
+        return [[self.offset(v) for v in D.vectors()] if D else [] for D in fam.dirs]
 
     def subflats(self, fam: FlatFamily):
         """Per block of fam, the keys of its rank-t subflats in subflats() order.
 
-        Each entry D of fam.dirs has its lifted shapes and coset offsets
-        c*D.rows packed once; a block adds its packed rep to each offset of
-        its entry, fam.dirs[fam.dir_of[i]].
+        Each entry D of fam.dirs has its lifted shapes packed and its coset
+        offsets c*D.rows made once; a block adds its rep to the offsets of
+        its entry, fam.dirs[fam.dir_of[i]], by FlatKeys.add.
         """
         g, t = self.g, self.t
         shapes = subflat_shapes(g, fam.block_rank, t)
@@ -258,7 +263,7 @@ class FlatKeys:
             if (dir_parts := parts[j]) is None:  # on first use: the meet rank may stop early
                 D = fam.dirs[j]
                 dir_parts = parts[j] = [(self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
-                                         [self.rep(combine(K, zero, c, D.rows)) for c in cs])
+                                         [self.offset(combine(K, zero, c, D.rows)) for c in cs])
                                         for S, cs in shapes]
             r, keys = rep(b.rep), []
             for dir_key, offsets in dir_parts:

@@ -65,7 +65,7 @@ def rref_rows(K: FieldSpec, rows, d):
         work[r], work[piv] = work[piv], work[r]
         lead = work[r][col]
         if lead != 1:
-            ml = mul[K.inv(lead)]
+            ml = mul[K._inv[lead]]
             work[r] = [ml[x] for x in work[r]]
         top = work[r]
         for i in range(len(work)):
@@ -76,7 +76,7 @@ def rref_rows(K: FieldSpec, rows, d):
         r += 1
         if r == len(work):
             break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    return tuple(map(tuple, work[:r])), tuple(pivots)
 
 
 def reduce_vector(K: FieldSpec, rows, pivots, v):
@@ -322,14 +322,19 @@ def xor_reduce(v: int, rows) -> int:
 
 def aff_closure(points, spec: FieldSpec, d: int | None = None) -> AffineFlat | PackedFlat:
     """Smallest coset containing the given nonempty point set: tuples of
-    encodings over spec.  With spec F_2 and d given, the points are
-    FieldSpec.pack ints of F_2^d, and their closure, a PackedFlat, is an XOR
-    basis of their differences from the first point, kept in RREF."""
+    encodings over spec, closed by the RREF of their distinct nonzero
+    differences from the first point (if none, the point alone).  With spec
+    F_2 and d given, the points are FieldSpec.pack ints of F_2^d, and their
+    closure, a PackedFlat, is an XOR basis of those differences, in RREF."""
     if not points:
         raise GeometryError("affine closure of an empty set is undefined")
     base = points[0]
     if d is None:
-        diffs = [vec_sub(spec, p, base) for p in points[1:]]
+        subs = [spec._add[spec._neg[c]] for c in base]  # row i maps x_i to x_i - base_i
+        diffs = {tuple(map(list.__getitem__, subs, p)) for p in points[1:]}
+        diffs.discard((0,) * len(base))
+        if not diffs:  # one distinct point
+            return AffineFlat(spec, len(base), tuple(base), LinearSubspace.zero(spec, len(base)))
         return AffineFlat.coset(base, LinearSubspace.from_rows(spec, len(base), diffs))
     if spec.order != 2:
         raise GeometryError("packed points add by ^ only over F_2")

@@ -17,9 +17,9 @@ yields the same field.
 The tables are log/antilog tables (Lidl & Niederreiter, *Finite Fields*,
 ch. 9).  The least primitive element g, by encoding, is the least
 candidate with g^((q-1)/r) != 1 for each prime r | q-1 (square-and-
-multiply), and its powers are walked once by polynomial multiplication
-(over F_2, carry-less on the encodings): q - 2 products plus a few per
-candidate, not the q^2 of a direct fill.  The scalar methods need only
+multiply), and its powers are walked once, multiplying the int encodings
+digit by digit (over F_2 carry-less on bits): q - 2 products plus a few
+per candidate, not the q^2 of a direct fill.  The scalar methods need only
 these: a*b = exp[log a + log b], a^n = exp[n log a mod (q-1)],
 a^-1 = exp[-log a], -a = exp[log a + log(-1)], and addition is digitwise
 mod p (a ^ b for p = 2).  Each mul row is one itemgetter gather of log
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from itertools import chain
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 ORDER_LIMIT = 512
 
@@ -112,24 +112,6 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def _poly_mod_mul(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p)."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    e = len(modulus) - 1
-    # reduce: modulus is monic of degree e
-    for i in range(len(prod) - 1, e - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(e):
-                prod[i - e + j] = (prod[i - e + j] - c * modulus[j]) % p
-    return tuple(prod[:e]) if len(prod) >= e else tuple(prod) + (0,) * (e - len(prod))
 
 
 def _poly_divmod_deg(num, den, p):
@@ -249,13 +231,14 @@ class FieldSpec:
 
     def _primitive_powers(self) -> list:
         """Encodings of g^0, ..., g^(q-2) for the least primitive element g:
-        the least g with g^((q-1)/r) != 1 for each prime r | q-1.  Over
-        F_2 the encodings are multiplied as they are, carry-less; over odd
-        p as coefficient tuples."""
+        the least g with g^((q-1)/r) != 1 for each prime r | q-1 (none below
+        p if e > 1).  Encodings multiply as ints, digit by digit: over F_2
+        carry-less, over odd p by base-p digits.  For odd p and e > 1 the walk
+        sums c * X^i * g over the digits c = x_i on byte lanes, then a translate."""
         q, e, p, mod = self.order, self.e, self.p, self.modulus
         exps = [(q - 1) // r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
         if p == 2:  # bit i of an encoding is its X^i coefficient
-            m, elem, enc = self.encode(mod), int, int
+            m = self.encode(mod)
 
             def mul(x, y):  # carry-less, reduced by m: a shift and <= 2 XORs per bit of y
                 prod = 0
@@ -267,11 +250,18 @@ class FieldSpec:
                     if x >> e:
                         x ^= m
                 return prod
-        else:
-            elem, enc = self._coeffs.__getitem__, self.encode
+        else:  # base-p digit i of an encoding is its X^i coefficient
+            digits, low, pw = self._coeffs, [-c % p for c in mod[:-1]], [p ** i for i in range(e)]
 
-            def mul(x, y):
-                return _poly_mod_mul(x, y, mod, p)
+            def mul(x, y):  # digit products, then each X^k, k >= e, as X^(k-e) * low
+                prod = [0] * (2 * e - 1)
+                for i, a in enumerate(digits[x]):
+                    for j, b in enumerate(digits[y], i):
+                        prod[j] += a * b
+                for k in range(2 * e - 2, e - 1, -1):
+                    for j, c in enumerate(low, k - e):
+                        prod[j] += prod[k] * c
+                return sum(c % p * w for c, w in zip(prod, pw))
 
         def power(x, k):  # square-and-multiply
             y = x
@@ -281,13 +271,19 @@ class FieldSpec:
                     y = mul(y, x)
             return y
 
-        one = elem(1)
-        g = elem(next(g for g in range(1, q) if all(power(elem(g), k) != one for k in exps)))
-        powers, x = [1], g
-        while (v := enc(x)) != 1:
-            powers.append(v)
-            x = mul(x, g)  # g second: the carry-less product loops over its few bits
-        return powers
+        g = next(g for g in range(p if e > 1 else 1, q) if all(power(g, k) != 1 for k in exps))
+        if p == 2 or e == 1:
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = mul(x, g)  # g second: the carry-less product loops over its few bits
+            return powers
+        cols = [[int.from_bytes(bytes(digits[mul(c * w, g)]), "little") for c in range(p)]
+                for w in pw]
+        red, lanes = bytes(v % p for v in range(256)), [bytes(digits[g])]  # lane sums < e * p
+        for _ in range(q - 3):
+            lanes.append(sum(map(getitem, cols, lanes[-1])).to_bytes(e, "little").translate(red))
+        return [1, *map(dict(zip(map(bytes, digits), range(q))).__getitem__, lanes)]
 
     # --- encoding helpers -------------------------------------------------
 

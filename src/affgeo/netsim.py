@@ -17,12 +17,12 @@ run_trials); tuples of encodings serve q > 2.
 
 from __future__ import annotations
 
-import struct
+import sys
 from fractions import Fraction
 
 from . import codes
 from .design import FlatFamily
-from .flatspace import aff_closure, check_guard, combine, vec_add, xor_reduce
+from .flatspace import aff_closure, check_guard, vec_add
 from .galois import Record
 
 RNG_ID = "splitmix64"
@@ -34,6 +34,7 @@ _LANES = 64
 _ONES = sum(1 << 128 * i for i in range(_LANES))
 _LM = _ONES * _MASK
 _GIDX = sum(((i + 1) * _GAMMA & _MASK) << 128 * i for i in range(_LANES))
+_STEP = 2 if sys.byteorder == "little" else -2  # big-endian words run high to low
 
 
 def _mix(z: int, mask: int) -> int:
@@ -63,13 +64,16 @@ class SplitMix64:
 
     def peek(self, n: int) -> list:
         """The next n outputs of next_u64, state unmoved: output i is the mix
-        of state + (i + 1) * _GAMMA, so up to _LANES are mixed in one pass."""
+        of state + (i + 1) * _GAMMA, so up to _LANES are mixed in one pass (a
+        short one masks the constants), read as every other native 64-bit word."""
         out, s = [], self.state
         for done in range(0, n, _LANES):
-            lanes = min(n - done, _LANES)
-            lm = _LM & (top := (1 << 128 * lanes) - 1)
-            z = _mix((s * (_ONES & top) + (_GIDX & top)) & lm, lm)
-            out += struct.unpack(f"<{2 * lanes}Q", z.to_bytes(16 * lanes, "little"))[::2]
+            lanes, ones, gidx, lm = min(n - done, _LANES), _ONES, _GIDX, _LM
+            if lanes < _LANES:
+                top = (1 << 128 * lanes) - 1
+                ones, gidx, lm = ones & top, gidx & top, lm & top
+            z = _mix((s * ones + gidx) & lm, lm)
+            out += memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_STEP]
             s = (s + _LANES * _GAMMA) & _MASK
         return out
 
@@ -114,14 +118,6 @@ class TrialStats(Record):
         return "\n".join(lines) + "\n"
 
 
-def _affine_coeffs(K, raw) -> list:
-    """Each raw output mod q, then the coefficient that makes the sum 1."""
-    coeffs, total, add = [r % K.order for r in raw], 0, K._add
-    for c in coeffs:
-        total = add[total][c]
-    return coeffs + [add[1][K._neg[total]]]
-
-
 def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     """Push vectors through the layered DAG; returns the sink vectors.
 
@@ -134,10 +130,13 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     GuardExceeded is raised first if they are more than ENUMERATION_GUARD.
     Pass 1 reads picks and drops in stream order, noting and stepping
     past each node's coefficient offsets (no later draw depends on them),
-    so rng ends as after one pass of below calls.  Pass 2 combines only
-    in the sink's ancestor cone; one nonzero coefficient forwards its input.
-    Over F_2 the sources may be FieldSpec.pack ints: pass 2 then XORs the
-    inputs whose coefficient is 1, and the sink vectors come back packed.
+    so rng ends as after one pass of below calls; at p = 0 those are fixed
+    slices of the stream, one comprehension per stage.  Pass 2 combines only
+    in the sink's ancestor cone, over q > 2 by _mul and _add rows, the last
+    coefficient being 1 minus the running total; a lone nonzero coefficient
+    is 1 and forwards its input.  Over F_2 the sources may be FieldSpec.pack
+    ints: pass 2 then XORs the inputs whose coefficient is 1, and the sink
+    vectors come back packed.
     """
     if not sources:
         raise ValueError("propagate needs at least one source vector")
@@ -151,21 +150,26 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     z = rng.peek(draws)
     k, live, layers = 0, [True] * len(sources), []
     for width, deg in [(cfg.width, d)] * cfg.layers + [(1, cfg.sink_indegree)]:
-        ins, starts, m = [], [], len(live)
-        for _node in range(width):
-            got = []
-            for _ in range(deg):
-                j, k = z[k] % m, k + 1
-                if live[j] and e == 2:
-                    k += 1
-                    if z[k - 1] % n >= a:
-                        got.append(j)
-                elif live[j] and not a:  # p = 0 keeps every edge, p = 1 none
-                    got.append(j)
-            ins.append(got)
-            starts.append(k)
-            if got:
-                k += len(got) - 1
+        m = len(live)
+        if not a:  # p = 0: every node is live, with deg picks, then deg - 1 coefficients
+            step = 2 * deg - 1
+            starts = range(k + deg, k + width * step + deg, step)
+            ins = [[j % m for j in z[at - deg:at]] for at in starts]
+            k += width * step
+        else:
+            ins, starts = [], []
+            for _node in range(width):
+                got = []
+                for _ in range(deg):
+                    j, k = z[k] % m, k + 1
+                    if live[j] and e == 2:  # p = 1 keeps no edge
+                        k += 1
+                        if z[k - 1] % n >= a:
+                            got.append(j)
+                ins.append(got)
+                starts.append(k)
+                if got:
+                    k += len(got) - 1
         layers.append((ins, starts))
         live = ins  # a node is live iff its input list is non-empty
     (sink,), (end,) = layers.pop()  # the sink draws no coefficients
@@ -174,24 +178,27 @@ def propagate(cfg: NetworkConfig, spec, sources, rng: SplitMix64):
     cones = [set(sink)]
     for ins, _ in reversed(layers[1:]):
         cones.append({j for i in cones[-1] for j in ins[i]})
-    vals, zero = sources, None if packed else (0,) * len(sources[0])
+    vals, q, add, mul, neg = sources, spec.order, spec._add, spec._mul, spec._neg
     for (ins, starts), cone in zip(layers, reversed(cones)):
         vals_next, get = {}, vals.__getitem__
         for i in cone:
             got, at = ins[i], starts[i]
-            raw = z[at:at + len(got) - 1]
             if packed:  # coefficient c % 2; the last one makes the count of 1s odd
                 v, odd = 0, False
-                for c, j in zip(raw, got):
+                for c, j in zip(z[at:at + len(got) - 1], got):
                     if c & 1:
                         v, odd = v ^ get(j), not odd
                 vals_next[i] = v if odd else v ^ get(got[-1])
                 continue
-            lam = _affine_coeffs(spec, raw)
-            if lam.count(0) == len(lam) - 1:  # the sum is 1, so the lone nonzero is 1
-                vals_next[i] = get(got[lam.index(1)])
-            else:
-                vals_next[i] = combine(spec, zero, lam, map(get, got))
+            v, total, last = None, 0, len(got) - 1
+            for t, j in enumerate(got):  # the last coefficient makes the sum 1
+                if c := z[at + t] % q if t < last else add[1][neg[total]]:
+                    total, mc, x = add[total][c], mul[c], get(j)
+                    if v is None:  # a lone nonzero coefficient is 1: its input goes on as is
+                        v = x if c == 1 else tuple(map(mc.__getitem__, x))
+                    else:
+                        v = tuple([add[b][mc[y]] for b, y in zip(v, x)])
+            vals_next[i] = v
         vals = vals_next
     return [vals[j] for j in sink]
 
@@ -206,10 +213,11 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
 
     Over F_2 a trial's vectors are FieldSpec.pack ints: rep and rep ^ each
     dir row (packed once per entry of code.dirs, read through code.dir_of),
-    combined by ^ and closed by an XOR basis into a PackedFlat, which is in
-    the block when its rep ^ the block's and its rows reduce to 0 by the
-    block's rows, and which decode looks up by its packed points.  Tuples
-    serve q > 2.  Both paths give the same statistics from the same stream.
+    combined by ^ and closed by an XOR basis into a PackedFlat, which decode
+    looks up by its packed points.  Tuples serve q > 2.  Both paths give the
+    same statistics from the same stream.  The received flat lies in the sent
+    block, so decode, which finds every block holding it, must return that
+    block or list it among the ambiguous ones; else run_trials raises.
     """
     if not code.blocks:
         raise ValueError("empty code")
@@ -247,21 +255,16 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
             erasures += 1
             continue
         received = aff_closure(received_pts, K, d)
-        if d is None:
-            inside = block.contains(received)
-        else:
-            inside = not any(xor_reduce(v, rows) for v in (received.rep ^ rep, *received.rows))
-        if not inside:
-            raise AssertionError("closure invariant violated: received not in block")
         rank_total += received.rank
-        try:
+        try:  # decode lists every block holding received: the sent one must be among them
             decoded = codes.decode(code, received)
-        except codes.Ambiguity:
+        except codes.Ambiguity as amb:
+            if id(block) not in map(id, amb.candidates):
+                raise AssertionError("closure invariant violated: received not in block") from None
             ambiguities += 1
             continue
         except codes.Erasure:
-            erasures += 1
-            continue
+            raise AssertionError("closure invariant violated: received not in block") from None
         if decoded != block:
             raise AssertionError("decoder returned a wrong block")
         successes += 1

@@ -12,6 +12,7 @@ from affgeo import (AffineFlat, ConstructError, FlatFamily, GuardExceeded,
 from affgeo import construct
 from affgeo.flatspace import iter_flats
 from affgeo.galois import Embedding, FieldSpec, _least_irreducible
+from canonical_order import canonical
 
 F2 = field_new(2)
 
@@ -101,7 +102,7 @@ def test_translate_closure_counts_and_roundtrip():
     assert len(closed) == 5 * 4
     assert closed.geometry.kind == "affine"
     back = through_zero(closed)
-    assert back == spread.sorted()
+    assert back == canonical(spread)
 
 
 def test_through_zero_picks_exactly_subspaces():

@@ -23,8 +23,6 @@ def test_flat_family_invariants():
         FlatFamily(g, (lines[0], enumerate_flats(g, 3)[0]))  # mixed ranks
     fam = FlatFamily(g, tuple(lines))
     assert len(fam) == 28 and fam.block_rank == 2
-    assert fam.sorted().blocks == tuple(
-        sorted(fam.blocks, key=lambda b: b.sort_key()))
 
 
 def test_complete_design_is_design_for_all_t():
@@ -224,3 +222,36 @@ def test_point_blocks_matches_points(make):
             oracle.setdefault(pack(p), []).append(b)
     assert fam.point_blocks == oracle
     assert list(fam.point_blocks) == list(oracle)  # same first-seen order
+
+
+def _empty_flat_family():
+    K = field_new(3)
+    return FlatFamily(affine_geometry(K, 3), (AffineFlat.empty(K, 2),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_steiner(2, 3, 3),
+    lambda: affine_steiner(2, 2, 4),
+    lambda: affine_poly_code(5, 3, 1, 1),
+    lambda: affine_poly_code(3, 5, 1, 1),
+    lambda: affine_poly_code(19, 2, 1, 1),
+    lambda: complete_design(affine_geometry(field_new(5), 3), 2),
+    lambda: complete_design(affine_geometry(field_new(3, 2), 3), 2),
+    lambda: complete_design(affine_geometry(field_new(3), 4), 3),
+    lambda: complete_design(affine_geometry(field_new(5), 3), 1),
+    _empty_flat_family,
+], ids=["q3-steiner", "q4-steiner", "poly-p125", "poly-p243", "poly-q19",
+        "lines-AG(2,5)", "lines-AG(2,9)", "planes-AG(3,3)", "points-AG(2,5)", "empty-flat"])
+def test_point_blocks_is_the_index_of_every_blocks_points(make):
+    """Exactly the index of each block's points(), keyed by K.pack: the same
+    keys in first-seen order, each listing the family's own block objects
+    in block order."""
+    fam = make()
+    pack, oracle = fam.geometry.field.pack, {}
+    for b in fam.blocks:
+        for p in b.points():
+            oracle.setdefault(pack(p), []).append(b)
+    index = fam.point_blocks
+    assert list(index) == list(oracle)
+    assert all(list(map(id, index[x])) == list(map(id, blocks))
+               for x, blocks in oracle.items())

@@ -293,6 +293,16 @@ WIDE = dict(layers=4, width=8, indegree=3, sink_indegree=4)
 @example((NetworkConfig(**WIDE, drop_prob=Fraction(1)), F2, [(0, 1), (1, 1)], 2 ** 64 - 1))
 @example((NetworkConfig(**WIDE, drop_prob=Fraction(1, 3)), field_new(19),
           [(0, 0), (3, 1), (18, 7)], 0))
+# p = 0 over odd q, whose picks are fixed slices of the stream: many layers
+# and wide ones, lone and several nonzero coefficients
+@example((NetworkConfig(layers=3, width=5, indegree=2, sink_indegree=4, drop_prob=Fraction(0)),
+          field_new(3), [(0, 0, 0), (1, 2, 0), (2, 2, 1)], 11))
+@example((NetworkConfig(layers=4, width=8, indegree=3, sink_indegree=5, drop_prob=Fraction(0)),
+          field_new(3, 2), [(0, 1, 8), (4, 0, 2)], 2 ** 64 - 1))
+@example((NetworkConfig(layers=3, width=6, indegree=1, sink_indegree=3, drop_prob=Fraction(0)),
+          field_new(19), [(5, 0, 18), (0, 7, 1), (3, 3, 3)], 19))
+@example((NetworkConfig(**WIDE, drop_prob=Fraction(0)), field_new(19),
+          [(0, 0), (3, 1), (18, 7), (2, 9)], 4))
 def test_propagate_matches_one_pass_oracle(case):
     cfg, K, sources, seed = case
     new, old = SplitMix64(seed), SplitMix64(seed)
@@ -315,7 +325,7 @@ def test_skip_is_n_draws(n, seed):
 GAMMA = 0x9E3779B97F4A7C15
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 128, 129, 300])
 @pytest.mark.parametrize("state", [0, 5, 2 ** 64 - 1, 2 ** 64 - GAMMA])
 def test_peek_is_the_next_n_outputs(n, state):
     rng, twin = SplitMix64(state), SplitMix64(state)
