@@ -19,12 +19,12 @@ render then writes in canonical form.  render builds one string per
 block; it spells each distinct vector once and writes the dir lines of
 each distinct row set once, as parallel blocks share them.
 
-parse works in three grains.  Once per line: a dict lookup of its text;
-each distinct line is read once.  Once per direction: the dir lines that
-parallel blocks repeat are one cache key, read once, and give one shared
-canonical subspace.  Once per block: a slice of its lines, a few checks
-and the AffineFlat, whose rep is reduced only if it is nonzero on the
-direction's pivots (one int AND).  Errors come in line order, as a
+parse reads a file block by block, split at its block lines.  A usual
+block, a rep line then dir lines in RREF, is two cache lookups: its rep
+line, and its run of dir lines, which parallel blocks repeat and which is
+read once into one shared canonical subspace.  The rep is reduced only if
+it is nonzero on the direction's pivots (one int AND).  Any other spelling
+is read a line at a time, and errors come in line order, as a
 line-at-a-time reader meets them.
 """
 
@@ -38,7 +38,6 @@ from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
 from .galois import FieldError, field_new
 
 MAGIC = "affgeo v1"
-BLOCK = ("block", None, 0, None)  # what parse reads from every block line
 
 
 class ParseError(ValueError):
@@ -69,102 +68,97 @@ def render(fam: FlatFamily) -> str:
 
 
 def parse(text: str) -> FlatFamily:
-    lines = list(filter(str.strip, text.splitlines()))
-    if not lines or lines[0] != MAGIC:
+    if not text.isascii() or any(map(text.__contains__, "\r\v\f\x1c\x1d\x1e")):
+        text = "\n".join(text.splitlines())  # every other line break as \n
+    chunks = ("\n" + text.rstrip("\n")).split("\nblock\n")  # at the usual block lines
+    lines = [*filter(str.strip, chunks[0].split("\n"))]
+    head = (lines + ["block"] * (len(chunks) > 1))[:3]  # a block line in the header is wrong
+    if not head or head[0] != MAGIC:
         raise ParseError(f"missing header {MAGIC!r}")
     try:
-        fields = dict(tok.split("=", 1) for tok in lines[1].split()[1:])
+        fields = dict(tok.split("=", 1) for tok in head[1].split()[1:])
         p, e = int(fields["p"]), int(fields["e"])
         mod = fields["modulus"]
-        space = dict(tok.split("=", 1) for tok in lines[2].split()[1:])
+        space = dict(tok.split("=", 1) for tok in head[2].split()[1:])
         kind, rank = space["kind"], int(space["rank"])
     except (KeyError, ValueError, IndexError) as exc:
         raise ParseError(f"malformed header: {exc}") from exc
     try:
         K = field_new(p, e)
-    except FieldError as exc:
-        raise ParseError(str(exc)) from exc
-    if mod != _render_modulus(K):
-        raise ParseError(f"modulus {mod!r} does not match the built-in "
-                         f"modulus for ({p},{e})")
-    try:
+        if mod != _render_modulus(K):
+            raise ParseError(f"modulus {mod!r} does not match the built-in "
+                             f"modulus for ({p},{e})")
         g = GeometrySpec(kind, K, rank)
-    except GeometryError as exc:
+    except (FieldError, GeometryError) as exc:
         raise ParseError(str(exc)) from exc
     d = g.ambient_dim
     affine = kind == "affine"
 
     @functools.cache  # for this call: each distinct line is read once
     def line(ln):
-        """(record, vector, support, error).  record is "block", "rep" or
-        "dir"; it is None for a line that is wrong in any block, with the
-        error.  A vector's support has bit c set where coordinate c is not 0."""
-        record = ln.split(None, 1)[0]
-        if record == "block":
-            return BLOCK
-        if record not in ("rep", "dir"):
-            return None, None, 0, f"unknown record {record!r}"
-        if record == "rep" and not affine:
-            return None, None, 0, "unexpected rep line"
+        """(record, vector, support: bit c set where coordinate c is not 0, error)."""
+        record, *tokens = ln.split() or [None]
+        if record not in ("rep", "dir"):  # no error for a block or a blank line
+            return record, None, 0, record and record != "block" and f"unknown record {record!r}"
         try:
-            v = _parse_vec(K, ln.split()[1:])
+            if record == "rep" and not affine:
+                raise ParseError("unexpected rep line")
+            v = _parse_vec(K, tokens)
+            if len(v) != d:
+                raise ParseError(f"{record} has {len(v)} coordinates, expected {d}")
         except ParseError as exc:
-            return None, None, 0, str(exc)
-        if len(v) != d:
-            return None, None, 0, f"{record} has {len(v)} coordinates, expected {d}"
+            return record, None, 0, str(exc)
         return record, v, sum(1 << c for c, x in enumerate(v) if x), None
 
-    span = functools.cache(lambda rows: LinearSubspace.from_rows(K, d, rows))
+    @functools.cache  # for this call: each distinct run of dir lines once
+    def run(lines):
+        """(span of the rows, its pivot bits) of some dir lines joined by
+        newlines; None if one is not a good dir line."""
+        recs = [*map(line, lines.split("\n"))] if lines else []
+        if all(record == "dir" and not error for record, _, _, error in recs):
+            try:
+                D = LinearSubspace.from_rows(K, d, [rec[1] for rec in recs])
+            except Exception as exc:  # raised for the block after its rep check
+                raise ParseError(f"bad block: {exc}") from exc
+            return D, sum(1 << c for c in D.pivots)
 
-    @functools.cache  # for this call: each distinct run of lines once
-    def part(run):
-        """(error, last rep line's record, span of the dir rows, its pivot
-        bits) of some of a block's lines, in order."""
-        rep, rows = None, []
-        for ln in run:
-            record, v, _, error = rec = line(ln)
-            if error:
-                return error, None, None, 0
-            if record == "rep":
+    def read(lines, inside):
+        """(rep line's record, run()) of each block in some lines joined by
+        newlines, read one at a time; inside: they follow a block line."""
+        rep, dirs = None, []
+        for ln in [*lines.split("\n"), "block"]:  # a last block line ends the last block
+            rec = record, _, _, error = line(ln)
+            if record == "block":
+                if inside:
+                    if affine and rep is None:
+                        raise ParseError("affine block without rep line")
+                    yield rep, run("\n".join(dirs))
+                inside, rep, dirs = True, None, []
+            elif not inside and record in ("rep", "dir"):
+                raise ParseError("unexpected rep line" if record == "rep"
+                                 else "dir line outside a block")
+            elif error:
+                raise ParseError(error)
+            elif record == "rep":
                 rep = rec
-            else:
-                rows.append(v)
-        try:
-            D = span(tuple(rows))
-        except Exception as exc:  # raised for the block after its rep check
-            return None, rep, exc, 0
-        return None, rep, D, sum(1 << c for c in D.pivots)
+            elif record:
+                dirs.append(ln)
 
-    body = lines[3:]
-    del lines  # body holds the text's lines; they are dropped before the family check
-    recs = [*map(line, body), BLOCK]  # a last block line ends the last block
-    starts = [i for i, rec in enumerate(recs) if rec is BLOCK]
-    if starts[0]:  # a record before the first block
-        record = body[0].split(None, 1)[0]
-        raise ParseError({"rep": "unexpected rep line",
-                          "dir": "dir line outside a block"}.get(
-                              record, f"unknown record {record!r}"))
-    blocks = []
-    for i, j in zip(starts, starts[1:]):
-        # the usual block is a rep line, then the dir lines that its parallel
-        # blocks repeat: that run of lines is one cache key, read once
-        head = recs[i + 1]
-        usual = head[0] == "rep"
-        error, last, D, pivots = part(tuple(body[i + 1 + usual:j]))
-        if error:
-            raise ParseError(error)
-        rep = last or (head if usual else None)
-        if affine and rep is None:
-            raise ParseError("affine block without rep line")
-        if D.__class__ is not LinearSubspace:
-            raise ParseError(f"bad block: {D}") from D
-        if not affine:
-            blocks.append(D)
-        elif rep[2] & pivots:
-            blocks.append(AffineFlat.coset(rep[1], D))
-        else:  # already canonical: zero on the direction's pivots
-            blocks.append(AffineFlat(K, d, rep[1], D))
-    del body, recs, starts
+    def pairs():
+        """read() of the whole body, a usual block by its two cache keys."""
+        yield from read("\n".join(lines[3:]), False)  # the lines before the first split
+        for chunk in chunks[1:]:
+            first, _, rest = chunk.partition("\n") if affine else ("", "", chunk)
+            rep = line(first)
+            if affine and (rep[0] != "rep" or rep[3]) or (D := run(rest)) is None:
+                yield from read(chunk, True)  # any other spelling, line at a time
+            else:
+                yield rep, D
+
+    blocks = [D if not affine else AffineFlat.coset(rep[1], D) if rep[2] & pivots
+              else AffineFlat(K, d, rep[1], D)  # else canonical: zero on the pivots
+              for rep, (D, pivots) in pairs()]
+    del text, chunks, lines
     try:
         return FlatFamily(g, tuple(blocks))
     except Exception as exc:

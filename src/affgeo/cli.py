@@ -162,8 +162,8 @@ def cmd_simulate(args) -> int:
             drop_prob=Fraction(args.drop_prob), sink_indegree=args.sink_indegree)
         stats = netsim.run_trials(fam, cfg, args.trials, args.seed,
                                   forced_deletions=args.forced_deletions)
-    except flatspace.GuardExceeded as exc:
-        raise CliError(EXIT_GUARD, str(exc)) from exc
+    except (flatspace.GuardExceeded, MemoryError) as exc:
+        raise CliError(EXIT_GUARD, str(exc) or "out of memory: one trial does not fit") from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(EXIT_PARAMS, str(exc)) from exc
     sys.stdout.write(stats.render())

@@ -3,13 +3,13 @@
 subspace_distance is the projective (Grassmannian) metric; d_wedge is
 its affine analog via meets, which fails the triangle inequality --
 metric_violation_witness produces the standard two-parallel-planes
-configuration.  The decoder is point-index intersection, then
-containment: a received subflat of rank >= t identifies its block
-uniquely in a partial S(t, k, n).  The largest pairwise meet rank m,
-which fixes the correction radius k - m - 1, comes from a collision
+configuration.  The decoder looks a received flat up by direction, or a
+point in the point index: a received subflat of rank >= t identifies its
+block uniquely in a partial S(t, k, n).  The largest pairwise meet rank
+m, which fixes the correction radius k - m - 1, comes from a collision
 tally of the blocks' subflats, by the packed int keys of
-design.FlatKeys, whose cost is the number of rank-(m+1) subflats of
-the blocks, against b^2 pairwise meets.
+design.FlatKeys, whose cost is the number of rank-(m+1) subflats of the
+blocks, against b^2 pairwise meets.
 """
 
 from __future__ import annotations
@@ -135,16 +135,12 @@ def correction_radius(fam: FlatFamily) -> int:
 def decode(fam: FlatFamily, received):
     """The unique block containing the received flat.
 
-    Point-index intersection, then containment: the blocks through the
-    received flat's rep are kept only if they are also listed under each
-    further point rep + row, each point looked up by its FieldSpec.pack
-    key in fam.point_blocks.  Those points are affinely independent, so
-    a block through all of them contains their closure, the received
-    flat; the intersection is the containment test.  Once at most one
-    candidate is left, it is looked for by id among the blocks through
-    the next point, with no set built.  Candidates keep the order of
-    fam.blocks.  A PackedFlat over F_2 (what aff_closure gives for packed
-    points) has its keys already: rep, and rep ^ each row.
+    By direction for rank >= 2: in each entry of fam.dirs that holds all
+    the flat's RREF rows (fam.dirs_through), its rep reduced by that
+    direction is looked up in fam.block_at.  A point is looked up in
+    fam.point_blocks, built only then.  A PackedFlat over F_2 (what
+    aff_closure gives for packed points) has its rows and rep packed
+    already.  Candidates keep the order of fam.blocks.
 
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
@@ -156,24 +152,21 @@ def decode(fam: FlatFamily, received):
     rank = flatspace.flat_rank(received, g)
     if rank < 1:
         raise GeometryError("received flat must have rank >= 1")
-    if not affine or g.q ** g.ambient_dim > 1 << 20:
-        if packed:
-            received = received.unpack()
+    if not affine or rank == 1 and g.q ** g.ambient_dim > 1 << 20:
+        received = received.unpack() if packed else received
         hits = [b for b in fam.blocks if b.contains(received)]
-    else:
-        K, index, rep = g.field, fam.point_blocks, received.rep
-        hits = index.get(x := rep if packed else K.pack(rep), ())
-        for row in received.rows if packed else received.dir.rows:
-            if packed:
-                key = x ^ row
-            else:  # over p = 2 packed vectors add by ^
-                key = x ^ K.pack(row) if K.p == 2 else K.pack(flatspace.vec_add(K, rep, row))
-            on = index.get(key, ())
-            if len(hits) < 2:  # at most one candidate: look for it, build no set
-                hits = [b for b in hits if id(b) in map(id, on)]
-            else:
-                on = set(map(id, on))
-                hits = [b for b in hits if id(b) in on]
+    elif rank == 1:
+        hits = fam.point_blocks.get(received.rep if packed else g.field.pack(received.rep), ())
+    else:  # the entries of dirs holding every row, then the rep reduced by each
+        K, through, dirs, at = g.field, fam.dirs_through, fam.dirs, fam.block_at
+        rows = received.rows if packed else [K.pack(row) for row in received.dir.rows]
+        js = through.get(rows[0], ())
+        if len(rows) > 1:
+            js = set(js).intersection(*[through.get(x, ()) for x in rows[1:]])
+        rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
+        found = sorted([at[j].get(flatspace.reduce_vector(
+            K, dirs[j].rows, dirs[j].pivots, rep), -1) for j in js])
+        hits = [fam.blocks[i] for i in found if i >= 0]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

@@ -2,8 +2,8 @@
 classical-design expansions.
 
 A FlatFamily is a geometry plus a deduplicated list of equal-rank flats
-(blocks); an affine one holds its parallel classes (dirs, dir_of), which
-every per-direction reader indexes.  verify_design counts, for every
+(blocks); an affine one holds its parallel classes (dirs, dir_of, block_at),
+which every per-direction reader indexes.  verify_design counts, for every
 rank-t flat of the geometry, how many blocks contain it, by enumerating
 each block's rank-t subflats and tallying, which is linear in the blocks
 rather than in all (t-flat, block) pairs.  The tally counts packed int
@@ -11,7 +11,7 @@ keys (FlatKeys), not flat objects: a block's subflat keys are FlatKeys.add
 of its rep and offsets made once per entry of dirs.  subflats() gives the
 same subflats as objects; the tests tally those as the oracle.  There is
 one packing, FieldSpec.pack: the tally keys, FlatFamily.point_blocks and
-codes.decode all key vectors by it.
+FlatFamily.dirs_through all key vectors by it.
 
 All counts are exact integers; lambda_s is an exact Fraction.
 """
@@ -40,19 +40,20 @@ _spec, _d, _dir, _rep = map(operator.attrgetter, ("spec", "d", "dir", "rep"))
 class FlatFamily(Record):
     """A uniform-rank family of flats in one geometry (design, code, spread).
 
-    An affine family holds a direction table: dirs, its distinct direction
-    subspaces (equal ones merged by value) in order of first appearance,
-    and dir_of, each block's index into dirs; other families get ().  Both
-    live in the instance __dict__: the fields, ==, hash, repr and pickle
-    stay (geometry, blocks).  The check that blocks are distinct and of one
-    rank builds the table: AffineFlats of one field and d are grouped by the
-    ids of their directions, groups equal by value merged, and blocks of one
-    direction are equal when their reps are; flat_rank runs once per group.
-    Others go block by block.  Errors come as a per-block check raises them:
-    a duplicate first, then a block foreign to the geometry, then ranks.
+    An affine family holds a direction table: dirs, its distinct directions
+    (merged by value) in order of first appearance, dir_of, each block's
+    index into dirs, and block_at, per entry a dict rep -> block index;
+    others get ().  They live in the instance __dict__: the fields, ==,
+    hash, repr and pickle stay (geometry, blocks).  The check that blocks
+    are distinct and of one rank builds the table: AffineFlats of one field
+    and d are grouped by the ids of their directions, groups equal by value
+    merged, and blocks of one direction are equal when their reps are;
+    flat_rank runs once per group.  Others go block by block.  Errors come
+    as a per-block check raises them: a duplicate first, then a block
+    foreign to the geometry, then ranks.
     """
 
-    # __dict__ holds dirs, dir_of and the cached point_blocks; weakly referenceable
+    # __dict__ holds the table and the cached indexes; weakly referenceable
     __slots__ = ("geometry", "blocks", "__dict__", "__weakref__")
 
     def __post_init__(self):
@@ -63,17 +64,18 @@ class FlatFamily(Record):
             groups, merged = dict(zip(ids, blocks)), {}  # merged: dir -> index in dirs
             where = {i: merged.setdefault(b.dir, len(merged)) for i, b in groups.items()}
             dirs, dir_of = tuple(merged), tuple(map(where.__getitem__, ids))
-            reps = [set() for _ in dirs]  # one set of reps per direction
-            deque(map(set.add, map(reps.__getitem__, dir_of), map(_rep, blocks)), 0)
-            distinct, ranked = sum(map(len, reps)) == len(blocks), groups.values()
+            at = [{} for _ in dirs]  # per direction: rep -> index of its block
+            deque(map(dict.__setitem__, map(at.__getitem__, dir_of), map(_rep, blocks),
+                      range(len(blocks))), 0)
+            distinct, ranked = sum(map(len, at)) == len(blocks), groups.values()
         else:  # projective, empty, mixed, or of several fields or d: one at a time
-            distinct, ranked = len(set(blocks)) == len(blocks), blocks
+            distinct, ranked, at = len(set(blocks)) == len(blocks), blocks, ()
         if not distinct:
             raise DesignError("blocks must be pairwise distinct")
         ranks = {flat_rank(b, self.geometry) for b in ranked}
         if len(ranks) > 1:
             raise DesignError(f"blocks have mixed ranks {sorted(ranks)}")
-        vars(self).update(dirs=dirs, dir_of=dir_of)
+        vars(self).update(dirs=dirs, dir_of=dir_of, block_at=at)
 
     @property
     def block_rank(self) -> int:
@@ -83,11 +85,12 @@ class FlatFamily(Record):
 
     @cached_property
     def point_blocks(self) -> dict:
-        """Point -> blocks through it (affine families), built on first use:
-        keys are FieldSpec.pack ints, in the order of points(), and lists keep
-        the order of blocks.  Over F_{2^e} a point is the packed rep ^ an offset;
-        over odd p one itemgetter per digit gathers all a block's points from
-        the rep's row of FlatKeys.rows (a lone index twice, to give a tuple)."""
+        """Point -> blocks through it (affine families), built on first use,
+        which in decode is a received point: keys are FieldSpec.pack ints, in
+        the order of points(), and lists keep the order of blocks.  Over
+        F_{2^e} a point is the packed rep ^ an offset; over odd p one
+        itemgetter per digit gathers all a block's points from the rep's row
+        of FlatKeys.rows (a lone index twice, to give a tuple)."""
         keys, index = FlatKeys(self.geometry, 1), {}
         if self.geometry.field.p == 2:
             rep, offsets = cache(keys.rep), keys.offsets(self)
@@ -106,6 +109,16 @@ class FlatFamily(Record):
                 points = map(operator.add, points, gather(row[c]))
             for x in points:
                 index.setdefault(x, []).append(b)
+        return index
+
+    @cached_property
+    def dirs_through(self) -> dict:
+        """Packed vector with leading 1 -> indices of the entries of dirs holding it."""
+        index, pack = {}, self.geometry.field.pack
+        for j, D in enumerate(self.dirs):
+            for v in D.vectors() if D else ():
+                if next(filter(None, v), 0) == 1:
+                    index.setdefault(pack(v), []).append(j)
         return index
 
     def __len__(self):

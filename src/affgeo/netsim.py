@@ -214,7 +214,7 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     Over F_2 a trial's vectors are FieldSpec.pack ints: rep and rep ^ each
     dir row (packed once per entry of code.dirs, read through code.dir_of),
     combined by ^ and closed by an XOR basis into a PackedFlat, which decode
-    looks up by its packed points.  Tuples serve q > 2.  Both paths give the
+    takes packed.  Tuples serve q > 2.  Both paths give the
     same statistics from the same stream.  The received flat lies in the sent
     block, so decode, which finds every block holding it, must return that
     block or list it among the ambiguous ones; else run_trials raises.

@@ -2,7 +2,9 @@ import contextlib
 import functools
 import hashlib
 import io
+import os
 import random
+import sys
 import traceback
 from pathlib import Path
 
@@ -268,6 +270,25 @@ def test_cli_simulate_dag_guard_exit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "draws per trial" in err
     assert main([*dag, "--forced-deletions", "1"]) == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps memory on Linux")
+def test_cli_simulate_out_of_memory_exit(tmp_path):
+    """A trial of exactly 10^7 draws passes the draw guard, but under a 512 MB
+    address-space cap its draws do not fit: exit 3 with one error line, not a
+    MemoryError traceback.  The command runs in a child process under the cap."""
+    import resource
+    import subprocess
+    main(["construct", "affine-steiner", "--q", "2", "--k", "2", "--l", "3",
+          "--out", str(tmp_path / "s7.blocks")])
+    cap = 512 * 2 ** 20
+    child = subprocess.run(
+        [sys.executable, "-m", "affgeo.cli", "simulate", "s7.blocks", "--trials", "1",
+         "--layers", "1", "--width", "3333332"], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), timeout=120)
+    assert (child.returncode, child.stdout) == (3, "")
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

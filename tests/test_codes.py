@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
@@ -176,6 +177,7 @@ def pairwise_meet_rank(fam):
 
 AG32 = affine_geometry(F2, 4)
 AG32_PLANES = enumerate_flats(AG32, 3)
+AG33 = affine_geometry(field_new(3), 4)
 
 MEET_RANK_FAMILIES = {
     "ag32-lines": lambda: complete_design(AG32, 2),
@@ -220,6 +222,8 @@ DECODE_ORACLE_FAMILIES = {  # family, ranks with an ambiguous / an erased flat
     "s2-f4": (lambda: affine_steiner(2, 2, 4), {1}, {3}),
     # odd q: F_3 digits pack 2 bits wide and add by table rows, not by ^
     "poly-q3": (lambda: affine_poly_code(3, 2, 2, 2), {1}, {2, 3}),
+    # odd q, and a vector lies in 4 of the 13 directions: 4 planes per line
+    "ag33-planes": (lambda: complete_design(AG33, 3), {1, 2}, set()),
 }
 
 
@@ -262,3 +266,37 @@ def test_decode_matches_linear_contains_scan_on_every_flat(make, ambiguous_ranks
     # so with the ambiguous ranks above each line of s237 and s2-f4 decodes;
     # the poly code's lines of no block are erased
     assert {r for r, exc in seen if exc is Erasure} == erased_ranks
+
+
+@pytest.mark.parametrize("make", [
+    lambda: complete_design(AG32, 3),
+    lambda: complete_design(AG33, 3),
+    lambda: affine_steiner(2, 2, 2),
+    lambda: affine_poly_code(3, 2, 2, 2),
+], ids=["ag32-planes", "ag33-planes", "s235", "poly-q3"])
+def test_decode_by_direction_matches_linear_scan(make):
+    """Every flat of rank >= 2, as an AffineFlat and over F_2 also as a
+    PackedFlat, decodes as a scan of fam.blocks does: the same block, or
+    the same Ambiguity candidates in the order of fam.blocks, which here
+    is not the order of fam.dirs.  No point index is built on the way."""
+    fam = make()
+    fam = FlatFamily(fam.geometry, tuple(random.Random(5).sample(fam.blocks, len(fam.blocks))))
+
+    def scan(fam, flat):
+        hits = [b for b in fam.blocks if b.contains(flat)]
+        if not hits:
+            raise Erasure("no block contains the received flat")
+        if len(hits) > 1:
+            raise Ambiguity(hits)
+        return hits[0]
+
+    outcomes = set()
+    for r in range(2, fam.block_rank + 1):
+        for flat in enumerate_flats(fam.geometry, r):
+            want = decode_outcome(scan, fam, flat)
+            assert decode_outcome(decode, fam, flat) == want, flat
+            if fam.geometry.q == 2:
+                assert decode_outcome(decode, fam, _packed(flat)) == want, flat
+            outcomes.add(want[1])
+    assert "point_blocks" not in vars(fam)
+    assert outcomes == {None, Ambiguity} or outcomes >= {None, Erasure}

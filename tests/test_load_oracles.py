@@ -216,6 +216,9 @@ def block_files(draw):
     return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
+AG3_HEAD = "affgeo v1\nfield p=2 e=1 modulus=01\nspace kind=affine rank=3\n"
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(text=block_files())
 @example(text="affgeo v1\nfield p=2 e=1 modulus=01\nspace kind=affine rank=1\nblock\nrep\n")
@@ -226,6 +229,19 @@ def block_files(draw):
               "dir 0 1 1\nblock\n")
 @example(text="affgeo v1\nfield p=3 e=1 modulus=11\nspace kind=projective rank=2\n"
               "block\ndir 1 2\nblock\ndir 2 1\n")
+# the seams of parse's block-by-block reader: a block line with more on it,
+# blank lines in a block, two rep lines, CRLF endings, dir rows not in RREF,
+# reps nonzero on the pivots, a block line that ends the file or the header
+@example(text=AG3_HEAD + "block extra\nrep 0 1\ndir 1 0\nblock\nrep 0 0\ndir 1 0\n")
+@example(text=AG3_HEAD + "block\nrep 0 1\n  \ndir 1 0\n\t\nblock\n\nrep 0 0\ndir 1 0\n\n")
+@example(text=AG3_HEAD + "block\nrep 0 0\nrep 0 1\ndir 1 0\nblock\nrep 0 1\ndir 1 0\nrep 0 0\n")
+@example(text=AG3_HEAD.replace("\n", "\r\n")
+         + "block\r\nrep 0 1\r\ndir 1 0\r\nblock\r\nrep 0 0\r\ndir 1 0")
+@example(text=AG3_HEAD.replace("3\n", "4\n") + "block\nrep 0 0 1\ndir 1 1 0\ndir 1 0 0\n"
+              "block\nrep 0 0 0\ndir 0 1 1\ndir 1 1 1\n")
+@example(text=AG3_HEAD + "block\nrep 1 1\ndir 1 0\nblock\nrep 1 0\ndir 1 0\n")
+@example(text=AG3_HEAD + "block\nrep 0 1\ndir 1 0\nblock")
+@example(text="affgeo v1\nfield p=2 e=1 modulus=01\nblock\nrep 0 1\n")
 def test_parse_matches_the_reference_parser(text):
     assert _outcome(parse, text) == _outcome(reference_parse, text)
 

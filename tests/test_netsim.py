@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affgeo import (Ambiguity, Erasure, GuardExceeded, NetworkConfig, SplitMix64, TrialStats,
-                    aff_closure, affine_geometry, affine_poly_code, affine_steiner,
-                    complete_design, decode, field_new, propagate, run_trials,
-                    trial_rng)
+from affgeo import (Ambiguity, Erasure, FlatFamily, GuardExceeded, NetworkConfig,
+                    SplitMix64, TrialStats, aff_closure, affine_geometry,
+                    affine_poly_code, affine_steiner, complete_design, decode,
+                    field_new, propagate, run_trials, trial_rng)
 from affgeo.flatspace import combine, rref_rows, vec_add
 
 F2 = field_new(2)
@@ -127,6 +127,17 @@ def test_run_trials_forced_deletion_radius():
     stats = run_trials(code, CFG, 500, seed=7, forced_deletions=1)
     assert stats.successes == 500
     assert stats.mean_received_rank == Fraction(2)
+
+
+def test_forced_trials_build_no_point_index():
+    """A forced deletion leaves a received flat of rank >= 2, which decode
+    looks up by direction: the point index is never built."""
+    s7 = affine_steiner(2, 3, 2)
+    code = FlatFamily(s7.geometry, s7.blocks)  # a family no other test has decoded on
+    assert run_trials(code, CFG, 300, seed=7, forced_deletions=1).successes == 300
+    assert "point_blocks" not in vars(code)
+    run_trials(code, CFG, 20, seed=7)  # the DAG can deliver a lone point
+    assert "point_blocks" in vars(code)
 
 
 def test_run_trials_drop_everything():
