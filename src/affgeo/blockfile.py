@@ -16,16 +16,17 @@ are sorted by canonical form, so parse(render(x)) == x and files diff
 cleanly.  render(parse(text)) == text holds for canonical text only:
 parse also accepts blocks out of order and dir rows not in RREF, which
 render then writes in canonical form.  render builds one string per
-block; it spells each distinct vector once and writes the dir lines of
-each distinct row set once, as parallel blocks share them.
+block in FlatFamily.order (no sort for a family made in order), from
+the columns: each distinct vector and each entry of dirs is spelt once.
 
-parse reads a file block by block, split at its block lines.  A usual
-block, a rep line then dir lines in RREF, is two cache lookups: its rep
-line, and its run of dir lines, which parallel blocks repeat and which is
-read once into one shared canonical subspace.  The rep is reduced only if
-it is nonzero on the direction's pivots (one int AND).  Any other spelling
-is read a line at a time, and errors come in line order, as a
-line-at-a-time reader meets them.
+parse reads a file block by block, split at its block lines, into the
+columns of a FlatFamily, with no block object.  A usual block, a rep
+line then dir lines in RREF, is two cache lookups: its rep line, and its
+run of dir lines, which parallel blocks repeat and which is read once
+into its index in dirs.  The rep is reduced only if it is nonzero on the
+direction's pivots (one int AND).  Any other spelling is read a line at
+a time, and errors come in line order, as a line-at-a-time reader meets
+them.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from __future__ import annotations
 import functools
 
 from .design import FlatFamily, ClassicalDesign
-from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
-                        LinearSubspace)
+from .flatspace import (GeometryError, GeometrySpec, LinearSubspace,
+                        reduce_vector)
 from .galois import FieldError, field_new
 
 MAGIC = "affgeo v1"
@@ -60,9 +61,10 @@ def render(fam: FlatFamily) -> str:
     g, K = fam.geometry, fam.geometry.field
     spell = functools.cache(lambda v: " ".join(map(K.digits, v)))  # for this call
     dirs = functools.cache(lambda rows: "".join(f"dir {spell(row)}\n" for row in rows))
-    affine = g.kind == "affine"
-    body = [f"block\nrep {spell(b.rep)}\n{dirs(b.dir.rows)}" if affine else "block\n" + dirs(b.rows)
-            for b in sorted(fam.blocks, key=lambda x: x.sort_key())]
+    lines = [dirs(D.rows) for D in fam.dirs or fam.blocks]  # per entry of dirs, or block
+    reps, dir_of, affine = fam.reps, fam.dir_of, g.kind == "affine"
+    body = [f"block\nrep {spell(reps[i])}\n{lines[dir_of[i]]}" if affine
+            else "block\n" + lines[i] for i in fam.order]
     return (f"{MAGIC}\nfield p={K.p} e={K.e} modulus={_render_modulus(K)}\n"
             f"space kind={g.kind} rank={g.rank}\n" + "".join(body))
 
@@ -110,17 +112,19 @@ def parse(text: str) -> FlatFamily:
             return record, None, 0, str(exc)
         return record, v, sum(1 << c for c, x in enumerate(v) if x), None
 
+    merged = {}  # each span of dir rows -> its index in dirs, in order of first use
+
     @functools.cache  # for this call: each distinct run of dir lines once
     def run(lines):
-        """(span of the rows, its pivot bits) of some dir lines joined by
-        newlines; None if one is not a good dir line."""
+        """(span of the rows, its pivot bits, its index in dirs) of some dir
+        lines joined by newlines; None if one is not a good dir line."""
         recs = [*map(line, lines.split("\n"))] if lines else []
         if all(record == "dir" and not error for record, _, _, error in recs):
             try:
                 D = LinearSubspace.from_rows(K, d, [rec[1] for rec in recs])
             except Exception as exc:  # raised for the block after its rep check
                 raise ParseError(f"bad block: {exc}") from exc
-            return D, sum(1 << c for c in D.pivots)
+            return D, sum(1 << c for c in D.pivots), merged.setdefault(D, len(merged))
 
     def read(lines, inside):
         """(rep line's record, run()) of each block in some lines joined by
@@ -155,12 +159,14 @@ def parse(text: str) -> FlatFamily:
             else:
                 yield rep, D
 
-    blocks = [D if not affine else AffineFlat.coset(rep[1], D) if rep[2] & pivots
-              else AffineFlat(K, d, rep[1], D)  # else canonical: zero on the pivots
-              for rep, (D, pivots) in pairs()]
+    # the columns: each block's index in dirs and rep, reduced if nonzero on the pivots
+    cols = [(j, rep and (reduce_vector(K, D.rows, D.pivots, rep[1]) if rep[2] & pivots
+                         else rep[1])) for rep, (D, pivots, j) in pairs()]
     del text, chunks, lines
+    (dir_of, reps), dirs = zip(*cols) if cols else ((), ()), tuple(merged)
     try:
-        return FlatFamily(g, tuple(blocks))
+        return (FlatFamily.from_columns(g, dirs, dir_of, reps) if affine
+                else FlatFamily(g, tuple(map(dirs.__getitem__, dir_of))))
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 

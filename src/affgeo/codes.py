@@ -85,21 +85,22 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     Ascending collision tally: a meet of flats is a flat, so the meet
     rank is at least r exactly when some rank-r flat lies in two blocks.
     Level r = 1, 2, ..., k-1 puts the packed keys of the blocks' rank-r
-    subflats (design.FlatKeys) in a set, a block at a time, and stops at
-    its first repeat; the answer is r-1 for the first level with no
-    repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
+    subflats (design.FlatKeys.by_direction) in a set, a list at a time,
+    and stops once the set holds fewer keys than it was given (a block's
+    own subflats are distinct); the answer is r-1 for the first level with
+    no repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
     b^2 meets for a pairwise scan.
     """
-    if len(fam.blocks) < 2:
+    if len(fam) < 2:
         return 0
     g = fam.geometry
     k = fam.block_rank
     for r in range(1, k):
-        seen = set()
-        for keys in design.FlatKeys(g, r).subflats(fam):
-            if not seen.isdisjoint(keys):
-                break
+        seen, n = set(), 0
+        for keys in design.FlatKeys(g, r).by_direction(fam):
             seen.update(keys)
+            if len(seen) < (n := n + len(keys)):
+                break
         else:
             return r - 1
     return k - 1
@@ -127,7 +128,7 @@ def tau(E, Ep, g: GeometrySpec) -> int:
 
 def correction_radius(fam: FlatFamily) -> int:
     """min pairwise tau = k - m - 1 for meet rank m; a singleton gets k - 1."""
-    if not fam.blocks:
+    if not len(fam):
         raise GeometryError("empty family has no correction radius")
     return fam.block_rank - max_pairwise_meet_rank(fam) - 1
 
@@ -137,10 +138,11 @@ def decode(fam: FlatFamily, received):
 
     By direction for rank >= 2: in each entry of fam.dirs that holds all
     the flat's RREF rows (fam.dirs_through), its rep reduced by that
-    direction is looked up in fam.block_at.  A point is looked up in
-    fam.point_blocks, built only then.  A PackedFlat over F_2 (what
-    aff_closure gives for packed points) has its rows and rep packed
-    already.  Candidates keep the order of fam.blocks.
+    direction is looked up in fam.block_at, and hits are made from the
+    columns.  A point is looked up in fam.point_blocks, built only then.
+    A PackedFlat over F_2 (what aff_closure gives for packed points) has
+    its rows and rep packed already.  Candidates keep the order of
+    fam.blocks and equal its entries.
 
     Raises Erasure when no block contains it and Ambiguity when several
     do (possible only when the received rank is below the Steiner t).
@@ -166,7 +168,8 @@ def decode(fam: FlatFamily, received):
         rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
         found = sorted([at[j].get(flatspace.reduce_vector(
             K, dirs[j].rows, dirs[j].pivots, rep), -1) for j in js])
-        hits = [fam.blocks[i] for i in found if i >= 0]
+        hits = [AffineFlat(K, g.ambient_dim, fam.reps[i], dirs[fam.dir_of[i]])
+                for i in found if i >= 0]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

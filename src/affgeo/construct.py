@@ -49,19 +49,22 @@ def desarguesian_spread(n: int, k: int, q: int) -> FlatFamily:
 
 
 def translate_closure(B: FlatFamily) -> FlatFamily:
-    """All cosets {v + U | U in B, v in V}, built in sort_key order: blocks
-    sorted and grouped by pivots share their canonical reps, taken in integer
-    order as sort_key compares them, so no coset is sorted.  The FlatFamily
-    check of the result still rejects duplicate cosets."""
+    """All cosets {v + U | U in B, v in V}, as columns in sort_key order:
+    blocks sorted and grouped by pivots share their canonical reps, taken in
+    integer order as sort_key compares them, so no coset is sorted.  The
+    FlatFamily check of the result still rejects duplicate cosets."""
     g = B.geometry
     if g.kind != "projective":
         raise ConstructError("translate_closure expects linear (projective) blocks")
     flatspace.check_guard(sum(g.q ** (g.rank - U.dim) for U in B.blocks), "blocks")
     dirs = sorted(B.blocks, key=LinearSubspace.sort_key)
-    out = itertools.chain.from_iterable(
-        flatspace.cosets(tuple(group), range(g.q))
-        for _, group in itertools.groupby(dirs, key=lambda U: U.pivots))
-    return FlatFamily(affine_geometry(g.field, g.rank + 1), tuple(out))
+    dir_of, reps = [], []
+    for pivots, group in itertools.groupby(range(len(dirs)), key=lambda j: dirs[j].pivots):
+        js, rs = list(group), list(flatspace.coset_reps(g.rank, pivots, range(g.q)))
+        dir_of += js * len(rs)  # each rep is a coset of each of the group in turn
+        reps += itertools.chain.from_iterable(itertools.repeat(r, len(js)) for r in rs)
+    return FlatFamily.from_columns(affine_geometry(g.field, g.rank + 1), dirs, dir_of, reps,
+                                   in_order=True)
 
 
 def through_zero(D: FlatFamily) -> FlatFamily:
@@ -70,7 +73,8 @@ def through_zero(D: FlatFamily) -> FlatFamily:
     if g.kind != "affine":
         raise ConstructError("through_zero expects an affine family")
     zero = (0,) * g.ambient_dim
-    blocks = sorted((b.dir for b in D.blocks if b.rep == zero), key=LinearSubspace.sort_key)
+    blocks = sorted((D.dirs[j] for j, rep in zip(D.dir_of, D.reps) if rep == zero),
+                    key=LinearSubspace.sort_key)
     return FlatFamily(projective_geometry(g.field, g.rank - 1), tuple(blocks))
 
 

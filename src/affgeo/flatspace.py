@@ -462,17 +462,15 @@ def iter_flats(g: GeometrySpec, r: int):
         return enumerate_subspaces(K, d, r)
     if r == 0:
         return iter([AffineFlat.empty(K, d)])
-    return (f for U in enumerate_subspaces(K, d, r - 1)
-            for f in cosets((U,), K.encodings_lex()))
+    return (AffineFlat(K, d, rep, U) for U in enumerate_subspaces(K, d, r - 1)
+            for rep in coset_reps(d, U.pivots, K.encodings_lex()))
 
 
-def cosets(dirs, values):
-    """Every coset of the subspaces dirs, which share their pivots, once: for
-    each canonical rep (zero on the pivots, values elsewhere, in the order
-    of one product over the columns), a coset of each of dirs in turn."""
-    K, d, pivots = dirs[0].spec, dirs[0].d, dirs[0].pivots
-    cols = [(0,) if j in pivots else values for j in range(d)]
-    return (AffineFlat(K, d, rep, U) for rep in itertools.product(*cols) for U in dirs)
+def coset_reps(d: int, pivots, values):
+    """The canonical rep of every coset of a subspace of F_q^d with these
+    pivots, once: zero on the pivots, values elsewhere, in the order of one
+    product over the columns (sort_key order for values in int order)."""
+    return itertools.product(*[(0,) if j in pivots else values for j in range(d)])
 
 
 def enumerate_points(g: GeometrySpec):

@@ -51,15 +51,17 @@ class FieldError(ValueError):
 
 
 class Record:
-    """Base of the immutable value types: fields named in __slots__, defaults
-    in _defaults, checks in __post_init__.  Instances compare and hash as
-    the tuple of their field values, and only within one class."""
+    """Base of the immutable value types: fields named in _fields, else in
+    __slots__, defaults in _defaults, checks in __post_init__.  Instances
+    compare and hash as the tuple of their field values, and only within
+    one class."""
 
     __slots__ = ()
     _defaults = {}
 
     def __init_subclass__(cls):
-        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("__"))
+        cls._fields = vars(cls).get("_fields") or tuple(
+            n for n in cls.__slots__ if not n.startswith("__"))
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -157,10 +159,10 @@ def _least_irreducible(p: int, e: int) -> tuple:
 
 class _OnFirstRead:
     """A method run on the first read of its name, its result then set as
-    a plain instance attribute that later reads find first.  Unlike
-    functools.cached_property it sets through setattr, not the instance
-    __dict__: on CPython 3.11 touching __dict__ makes every later
-    attribute read of the instance several times slower."""
+    a plain instance attribute (of a Record too) that later reads find first.
+    Unlike functools.cached_property it sets through object.__setattr__, not
+    __dict__: on CPython 3.11 touching __dict__ makes every later attribute
+    read of the instance several times slower."""
 
     def __init__(self, build):
         self.build = build
@@ -172,7 +174,7 @@ class _OnFirstRead:
         if obj is None:
             return self
         value = self.build(obj)
-        setattr(obj, self.name, value)
+        object.__setattr__(obj, self.name, value)
         return value
 
 

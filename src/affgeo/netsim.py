@@ -211,15 +211,16 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     model: exactly that many direction vectors, chosen at random, are
     withheld from the receiver.
 
-    Over F_2 a trial's vectors are FieldSpec.pack ints: rep and rep ^ each
-    dir row (packed once per entry of code.dirs, read through code.dir_of),
-    combined by ^ and closed by an XOR basis into a PackedFlat, which decode
-    takes packed.  Tuples serve q > 2.  Both paths give the
-    same statistics from the same stream.  The received flat lies in the sent
-    block, so decode, which finds every block holding it, must return that
-    block or list it among the ambiguous ones; else run_trials raises.
+    The sent block is read from code's columns (reps, and dirs through
+    dir_of).  Over F_2 a trial's vectors are FieldSpec.pack ints: rep and
+    rep ^ each dir row (packed once per entry of code.dirs), combined by ^
+    and closed by an XOR basis into a PackedFlat, which decode takes
+    packed.  Tuples serve q > 2.  Both paths give the same statistics from
+    the same stream.  The received flat lies in the sent block, so decode,
+    which finds every block holding it, must return that block or list it
+    among the ambiguous ones; else run_trials raises.
     """
-    if not code.blocks:
+    if not len(code):
         raise ValueError("empty code")
     g = code.geometry
     if g.kind != "affine":
@@ -230,20 +231,20 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     if forced_deletions is not None and not 0 <= forced_deletions <= k - 1:
         raise ValueError(f"forced deletions must be in [0, {k - 1}] for "
                          f"rank-{k} blocks, got {forced_deletions}")
-    K, blocks, dir_of = g.field, code.blocks, code.dir_of
+    K, dirs, dir_of, reps = g.field, code.dirs, code.dir_of, code.reps
     d = g.ambient_dim if K.order == 2 else None  # over F_2, packed vectors of length d
     pack = K.pack  # a D of None is the empty flat's direction
-    packed_rows = [] if d is None else [D and list(map(pack, D.rows)) for D in code.dirs]
+    packed_rows = [] if d is None else [D and list(map(pack, D.rows)) for D in dirs]
     successes = ambiguities = erasures = 0
     rank_total = 0
     for i in range(trials):
         rng = trial_rng(seed, i)
-        block = blocks[j := rng.below(len(blocks))]
+        rep, D = reps[j := rng.below(len(reps))], dirs[dir_of[j]]  # the sent block
         if d is not None:
-            rows, rep = packed_rows[dir_of[j]], pack(block.rep)
-            points = [rep] + [rep ^ r for r in rows]
+            x = pack(rep)
+            points = [x] + [x ^ r for r in packed_rows[dir_of[j]]]
         else:  # k affinely independent points: rep and rep + each basis row
-            points = [block.rep] + [vec_add(K, block.rep, r) for r in block.dir.rows]
+            points = [rep] + [vec_add(K, rep, r) for r in D.rows]
         if forced_deletions is not None:
             keep = list(range(1, len(points)))
             for _ in range(forced_deletions):
@@ -259,13 +260,13 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
         try:  # decode lists every block holding received: the sent one must be among them
             decoded = codes.decode(code, received)
         except codes.Ambiguity as amb:
-            if id(block) not in map(id, amb.candidates):
+            if (rep, D) not in [(b.rep, b.dir) for b in amb.candidates]:
                 raise AssertionError("closure invariant violated: received not in block") from None
             ambiguities += 1
             continue
         except codes.Erasure:
             raise AssertionError("closure invariant violated: received not in block") from None
-        if decoded != block:
+        if (decoded.rep, decoded.dir) != (rep, D):
             raise AssertionError("decoder returned a wrong block")
         successes += 1
     mean = Fraction(rank_total, trials) if trials else Fraction(0)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affgeo import (FlatFamily, affine_geometry, affine_poly_code,
-                    affine_steiner, codes, complete_design,
+                    affine_steiner, blockfile, codes, complete_design,
                     desarguesian_spread, expand_affine_design, field_new,
                     projective_geometry)
 from affgeo.blockfile import (MAGIC, ParseError, parse, parse_classical,
@@ -194,6 +194,23 @@ def test_cli_analyze_computes_meet_rank_once(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(out)]) == 0
     assert len(calls) == 1
     assert "radius=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ell", [3, 4], ids=["S(2,3,7)", "S(2,3,9)"])
+def test_cli_never_builds_the_block_tuple(tmp_path, monkeypatch, capsys, ell):
+    """verify, analyze, expand and a forced simulate of an affine file read
+    the family's columns: fam.blocks is never built."""
+    path, out = str(tmp_path / "s.blocks"), str(tmp_path / "s.txt")
+    assert main(["construct", "affine-steiner", "--q", "2", "--k", "2", "--l", str(ell),
+                 "--out", path]) == 0
+    loaded, parse = [], blockfile.parse
+    monkeypatch.setattr(blockfile, "parse", lambda text: loaded.append(parse(text)) or loaded[-1])
+    for argv in (["verify", path, "--t", "2"], ["analyze", path],
+                 ["expand", path, "--mode", "affine-2", "--out", out],
+                 ["simulate", path, "--trials", "100", "--forced-deletions", "1"]):
+        assert main(argv) == 0
+    assert len(loaded) == 4 and not any("blocks" in vars(fam) for fam in loaded)
+    assert "successes=100\n" in capsys.readouterr().out
 
 
 def test_cli_roundtrip_byte_identical(tmp_path):

@@ -10,6 +10,8 @@ exception type and message, in the same precedence.  The direction
 table the check builds (FlatFamily.dirs, dir_of) must be the blocks'
 parallel classes by value, and every reader of it must give the same
 results on twin directions (equal, on distinct objects) as on shared ones.
+A family held as columns must equal, column for column, the one its own
+blocks give.
 """
 
 import functools
@@ -23,13 +25,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affgeo import (AffineFlat, FlatFamily, LinearSubspace, NetworkConfig,
-                    affine_steiner, desarguesian_spread, expand_affine_design,
-                    field_new, max_pairwise_meet_rank, run_trials, verify_design)
+                    affine_geometry, affine_poly_code, affine_steiner, complete_design,
+                    desarguesian_spread, expand_affine_design, field_new,
+                    max_pairwise_meet_rank, run_trials, through_zero,
+                    translate_closure, verify_design)
 from affgeo.blockfile import MAGIC, ParseError, _parse_vec, _render_modulus, parse, render
 from affgeo.design import DesignError
 from affgeo.flatspace import (GeometryError, GeometrySpec, enumerate_flats,
                               flat_rank, vec_add)
-from affgeo.galois import FieldError
+from affgeo.galois import FieldError, FieldSpec
+from canonical_order import canonical
 
 
 def reference_parse(text: str) -> FlatFamily:
@@ -349,6 +354,17 @@ def test_family_check_matches_the_reference_check(case):
             == _raised(lambda: reference_check(g, blocks)))
 
 
+@pytest.mark.parametrize("how", ["spec", "d", "class"])
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_family_check_rejects_blocks_all_foreign_alike(name, how):
+    """Blocks all of one other field, or d, or kind of flat, as the check on
+    the columns meets them when they are AffineFlats, fail as one by one."""
+    fam = BASES[name]
+    blocks = tuple(_foreign(b, how) for b in fam.blocks)
+    raised = _raised(lambda: FlatFamily(fam.geometry, blocks))
+    assert raised and raised == _raised(lambda: reference_check(fam.geometry, blocks))
+
+
 @pytest.mark.parametrize("name", sorted(BASES))
 def test_family_check_sees_equal_blocks_on_distinct_objects(name):
     fam = BASES[name]
@@ -417,7 +433,11 @@ def _respelled(fam):
 def test_readers_agree_on_twin_directions(q, how):
     fam = affine_steiner(2, 3, 2) if q == 2 else affine_steiner(2, 2, 3)
     other = _respelled(fam) if how == "basis" else _twinned(fam)
-    assert other == fam and len({id(b.dir) for b in other.blocks}) > len(other.dirs)
+    assert other == fam
+    if how == "twin":
+        assert len({id(b.dir) for b in other.blocks}) > len(other.dirs)
+    else:  # parse reads a respelled basis into the entry of dirs its class has
+        assert len({id(b.dir) for b in other.blocks}) == len(other.dirs) == len(fam.dirs)
     assert other.point_blocks == fam.point_blocks
     for t in (1, 2):
         assert verify_design(other, t) == verify_design(fam, t)
@@ -427,3 +447,97 @@ def test_readers_agree_on_twin_directions(q, how):
     for cfg, forced in ((dag, None), (NetworkConfig(), None), (dag, 1), (dag, 2)):
         assert (run_trials(other, cfg, 200, 7, forced)
                 == run_trials(fam, cfg, 200, 7, forced))
+
+
+def test_family_check_compares_fields_by_identity_then_by_value(monkeypatch):
+    """Blocks on equal but distinct FieldSpec objects are one field; blocks
+    over two fields are foreign, as the per-block check found.  parse and
+    translate_closure, which give columns, never hash a FieldSpec per block."""
+    fam = BASES["S(2,3,5)"]
+    twins = tuple(map(_twin, fam.blocks))
+    assert len({id(b.spec) for b in twins}) == len(twins)
+    again = FlatFamily(fam.geometry, twins)
+    assert again == fam and _columns(again) == _columns(fam)
+    other = AffineFlat.coset(fam.blocks[0].rep, LinearSubspace.from_rows(
+        field_new(3), fam.geometry.ambient_dim, fam.blocks[0].dir.rows))
+    for blocks in (fam.blocks + (other,), (other,) + twins):
+        assert (_raised(lambda: FlatFamily(fam.geometry, blocks))
+                == _raised(lambda: reference_check(fam.geometry, blocks))
+                == (GeometryError, "flat does not belong to this affine geometry"))
+    big, hashed, field_hash = affine_steiner(2, 4, 2), [], FieldSpec.__hash__
+    text, spread = render(big), through_zero(big)
+    monkeypatch.setattr(FieldSpec, "__hash__", lambda K: hashed.append(K) or field_hash(K))
+    assert len(parse(text)) == 5440 and len(hashed) <= len(big.dirs) < 5440  # per direction
+    assert len(translate_closure(spread)) == 5440 and len(hashed) <= len(big.dirs)
+
+
+# --- the columns ------------------------------------------------------------------
+
+COLUMN_FAMILIES = {  # the decode and load oracles' families, and larger ones
+    "S(2,3,5)": lambda: affine_steiner(2, 2, 2),
+    "S(2,3,7)": lambda: affine_steiner(2, 3, 2),
+    "S(2,3,9)": lambda: affine_steiner(2, 4, 2),
+    "q3-steiner": lambda: affine_steiner(2, 2, 3),
+    "s2-f4": lambda: affine_steiner(2, 2, 4),
+    "ag32-planes": lambda: complete_design(affine_geometry(field_new(2), 4), 3),
+    "ag33-planes": lambda: complete_design(affine_geometry(field_new(3), 4), 3),
+    "poly-q3": lambda: affine_poly_code(3, 2, 2, 2),
+    "poly-q19": lambda: affine_poly_code(19, 2, 1, 1),
+    "poly-F512": lambda: affine_poly_code(2, 9, 1, 1),
+    "spread": lambda: desarguesian_spread(4, 2, 3),
+    "spread-k3": lambda: desarguesian_spread(6, 3, 2),
+}
+
+
+def _columns(fam):
+    return fam.dirs, fam.dir_of, fam.reps, fam.block_at
+
+
+@pytest.mark.parametrize("source", ["made", "parsed"])
+@pytest.mark.parametrize("name", sorted(COLUMN_FAMILIES))
+def test_columns_are_those_of_the_blocks_they_make(name, source):
+    """A family as its producer or parse makes it equals FlatFamily(g,
+    fam.blocks), with the same hash, repr and columns, and survives a
+    pickle round trip; its blocks shuffled give the same canonical family,
+    order and file."""
+    fam = COLUMN_FAMILIES[name]()
+    fam = parse(render(fam)) if source == "parsed" else fam
+    again = FlatFamily(fam.geometry, fam.blocks)
+    assert again == fam and hash(again) == hash(fam) and repr(again) == repr(fam)
+    assert _columns(again) == _columns(fam)
+    if fam.geometry.kind == "affine":  # a projective family keeps its blocks
+        assert [(b.rep, b.dir) for b in fam.blocks] == [
+            (r, fam.dirs[j]) for r, j in zip(fam.reps, fam.dir_of)]
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam and _columns(back) == _columns(fam)
+    blocks = list(fam.blocks)
+    random.Random(len(blocks)).shuffle(blocks)
+    shuffled = FlatFamily(fam.geometry, tuple(blocks))
+    assert canonical(shuffled) == canonical(fam)
+    assert [shuffled.blocks[i] for i in shuffled.order] == list(canonical(fam).blocks)
+    assert (fam.order == range(len(fam))) == (fam == canonical(fam))
+    assert render(shuffled) == render(fam)
+
+
+def test_render_of_a_constructed_family_sorts_nothing(monkeypatch):
+    """translate_closure makes its cosets in sort_key order, so render
+    neither sorts nor builds the blocks: no sort_key is called."""
+    fam, calls = affine_steiner(2, 4, 2), []
+    for cls in (AffineFlat, LinearSubspace):
+        key = cls.sort_key
+        monkeypatch.setattr(cls, "sort_key", lambda b, key=key: calls.append(b) or key(b))
+    text = render(fam)
+    assert not calls and "blocks" not in vars(fam)
+    assert len(fam.blocks) == 5440 and text == render_oracle_s9()
+    assert calls  # the oracle sorts
+
+
+def render_oracle_s9():
+    """S(2,3,9)'s file as one line per record, its blocks sorted by sort_key."""
+    fam = affine_steiner(2, 4, 2)
+    K = fam.geometry.field
+    spell = functools.cache(lambda v: " ".join(map(K.digits, v)))
+    lines = render(FlatFamily(fam.geometry, ())).splitlines()
+    for b in sorted(fam.blocks, key=lambda x: x.sort_key()):
+        lines += ["block", "rep " + spell(b.rep)] + ["dir " + spell(r) for r in b.dir.rows]
+    return "\n".join(lines) + "\n"
