@@ -16,8 +16,9 @@ are sorted by canonical form, so parse(render(x)) == x and files diff
 cleanly.  render(parse(text)) == text holds for canonical text only:
 parse also accepts blocks out of order and dir rows not in RREF, which
 render then writes in canonical form.  render builds one string per
-block in FlatFamily.order (no sort for a family made in order), from
-the columns: each distinct vector and each entry of dirs is spelt once.
+block, in an order read from the columns, not from block objects: each
+distinct vector and each entry of dirs is spelt once, and a family already
+in canonical order, as construct and a canonical file give, is not sorted.
 
 parse reads a file block by block, split at its block lines, into the
 columns of a FlatFamily, with no block object.  A usual block, a rep
@@ -32,6 +33,8 @@ them.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 
 from .design import FlatFamily, ClassicalDesign
 from .flatspace import (GeometryError, GeometrySpec, LinearSubspace,
@@ -63,8 +66,19 @@ def render(fam: FlatFamily) -> str:
     dirs = functools.cache(lambda rows: "".join(f"dir {spell(row)}\n" for row in rows))
     lines = [dirs(D.rows) for D in fam.dirs or fam.blocks]  # per entry of dirs, or block
     reps, dir_of, affine = fam.reps, fam.dir_of, g.kind == "affine"
+    if reps:  # sort_key order: affine blocks, all of one rank, by (pivots, rep, rows)
+        pivots, rows = [D.pivots for D in fam.dirs], [D.rows for D in fam.dirs]
+        keys = lambda: zip(map(pivots.__getitem__, dir_of), reps, map(rows.__getitem__, dir_of))
+    else:
+        keys = lambda: map(operator.methodcaller("sort_key"), fam.blocks)
+    # a family made or read in order, as construct makes them, is checked in one
+    # pass that holds two keys at a time, not sorted
+    now, after = itertools.tee(keys())
+    order = range(len(fam))
+    if any(map(operator.gt, now, itertools.islice(after, 1, None))):
+        order = sorted(order, key=list(keys()).__getitem__)
     body = [f"block\nrep {spell(reps[i])}\n{lines[dir_of[i]]}" if affine
-            else "block\n" + lines[i] for i in fam.order]
+            else "block\n" + lines[i] for i in order]
     return (f"{MAGIC}\nfield p={K.p} e={K.e} modulus={_render_modulus(K)}\n"
             f"space kind={g.kind} rank={g.rank}\n" + "".join(body))
 

@@ -85,10 +85,10 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     Ascending collision tally: a meet of flats is a flat, so the meet
     rank is at least r exactly when some rank-r flat lies in two blocks.
     Level r = 1, 2, ..., k-1 puts the packed keys of the blocks' rank-r
-    subflats (design.FlatKeys.by_direction) in a set, a list at a time,
-    and stops once the set holds fewer keys than it was given (a block's
-    own subflats are distinct); the answer is r-1 for the first level with
-    no repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
+    subflats (design.FlatKeys) in a set, a block at a time, and stops
+    once the set holds fewer keys than it was given (a block's own
+    subflats are distinct); the answer is r-1 for the first level with no
+    repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
     b^2 meets for a pairwise scan.
     """
     if len(fam) < 2:
@@ -97,7 +97,7 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
     k = fam.block_rank
     for r in range(1, k):
         seen, n = set(), 0
-        for keys in design.FlatKeys(g, r).by_direction(fam):
+        for keys in design.FlatKeys(g, r).subflats(fam):
             seen.update(keys)
             if len(seen) < (n := n + len(keys)):
                 break
@@ -139,7 +139,10 @@ def decode(fam: FlatFamily, received):
     By direction for rank >= 2: in each entry of fam.dirs that holds all
     the flat's RREF rows (fam.dirs_through), its rep reduced by that
     direction is looked up in fam.block_at, and hits are made from the
-    columns.  A point is looked up in fam.point_blocks, built only then.
+    columns.  A point is looked up in fam.point_blocks, built only then
+    from the columns, and its hits are read from fam.blocks: a DAG run
+    decodes many lone points, each with many candidates, and building the
+    tuple once costs less than making them anew each time.
     A PackedFlat over F_2 (what aff_closure gives for packed points) has
     its rows and rep packed already.  Candidates keep the order of
     fam.blocks and equal its entries.
@@ -157,19 +160,21 @@ def decode(fam: FlatFamily, received):
     if not affine or rank == 1 and g.q ** g.ambient_dim > 1 << 20:
         received = received.unpack() if packed else received
         hits = [b for b in fam.blocks if b.contains(received)]
-    elif rank == 1:
-        hits = fam.point_blocks.get(received.rep if packed else g.field.pack(received.rep), ())
-    else:  # the entries of dirs holding every row, then the rep reduced by each
-        K, through, dirs, at = g.field, fam.dirs_through, fam.dirs, fam.block_at
-        rows = received.rows if packed else [K.pack(row) for row in received.dir.rows]
-        js = through.get(rows[0], ())
-        if len(rows) > 1:
-            js = set(js).intersection(*[through.get(x, ()) for x in rows[1:]])
-        rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
-        found = sorted([at[j].get(flatspace.reduce_vector(
-            K, dirs[j].rows, dirs[j].pivots, rep), -1) for j in js])
-        hits = [AffineFlat(K, g.ambient_dim, fam.reps[i], dirs[fam.dir_of[i]])
-                for i in found if i >= 0]
+    else:
+        K, dirs, at = g.field, fam.dirs, fam.block_at
+        if rank == 1:
+            found = fam.point_blocks.get(received.rep if packed else K.pack(received.rep), ())
+            hits = list(map(fam.blocks.__getitem__, found))
+        else:  # the entries of dirs holding every row, then the rep reduced by each
+            rows = received.rows if packed else [K.pack(row) for row in received.dir.rows]
+            js = fam.dirs_through.get(rows[0], ())
+            if len(rows) > 1:
+                js = set(js).intersection(*[fam.dirs_through.get(x, ()) for x in rows[1:]])
+            rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
+            found = sorted([at[j].get(flatspace.reduce_vector(
+                K, dirs[j].rows, dirs[j].pivots, rep), -1) for j in js])
+            hits = [AffineFlat(K, g.ambient_dim, fam.reps[i], dirs[fam.dir_of[i]])
+                    for i in found if i >= 0]
     if not hits:
         raise Erasure("no block contains the received flat")
     if len(hits) > 1:

@@ -63,8 +63,7 @@ def translate_closure(B: FlatFamily) -> FlatFamily:
         js, rs = list(group), list(flatspace.coset_reps(g.rank, pivots, range(g.q)))
         dir_of += js * len(rs)  # each rep is a coset of each of the group in turn
         reps += itertools.chain.from_iterable(itertools.repeat(r, len(js)) for r in rs)
-    return FlatFamily.from_columns(affine_geometry(g.field, g.rank + 1), dirs, dir_of, reps,
-                                   in_order=True)
+    return FlatFamily.from_columns(affine_geometry(g.field, g.rank + 1), dirs, dir_of, reps)
 
 
 def through_zero(D: FlatFamily) -> FlatFamily:

@@ -8,10 +8,11 @@ verify_design counts, for every rank-t flat of the geometry, how many
 blocks contain it, by enumerating each block's rank-t subflats and
 tallying, which is linear in the blocks rather than in all (t-flat, block)
 pairs.  The tally counts packed int keys (FlatKeys), not flat objects: a
-subflat's key is FlatKeys.add of a block's rep and an offset made once per
-entry of dirs, mapped over all the reps of that entry at once.  There is
-one packing, FieldSpec.pack: the tally keys, FlatFamily.point_blocks and
-FlatFamily.dirs_through all key vectors by it.
+block's subflat keys are FlatKeys.add of its rep and offsets made once per
+entry of dirs.  subflats() gives the same subflats as objects; the tests
+tally those as the oracle.  There is one packing, FieldSpec.pack: the
+tally keys, FlatFamily.point_blocks and FlatFamily.dirs_through all key
+vectors by it.
 
 All counts are exact integers; lambda_s is an exact Fraction.
 """
@@ -53,7 +54,7 @@ class FlatFamily(Record):
     duplicate, then a foreign block, then ranks.
     """
 
-    # __dict__ holds blocks, order and the cached indexes; weakly referenceable
+    # __dict__ holds blocks and the cached indexes; weakly referenceable
     __slots__ = ("geometry", "dirs", "dir_of", "reps", "block_at", "_rank", "__dict__",
                  "__weakref__")
     _fields = ("geometry", "blocks")
@@ -67,14 +68,12 @@ class FlatFamily(Record):
         self._check(blocks[0].spec, blocks[0].d, tuple(merged), dir_of, tuple(map(_rep, blocks)))
 
     @classmethod
-    def from_columns(cls, g: GeometrySpec, dirs, dir_of, reps, in_order=False) -> "FlatFamily":
+    def from_columns(cls, g: GeometrySpec, dirs, dir_of, reps) -> "FlatFamily":
         """The affine family of blocks reps[i] + dirs[dir_of[i]] (distinct dirs over
-        g, reps zero on their pivots); in_order: known to be in sort_key order."""
+        g, reps zero on their pivots)."""
         fam = object.__new__(cls)
         object.__setattr__(fam, "geometry", g)
         fam._check(g.field, g.ambient_dim, tuple(dirs), tuple(dir_of), tuple(reps))
-        if in_order:
-            object.__setattr__(fam, "order", range(len(fam)))
         return fam
 
     def _check(self, K, d, dirs, dir_of, reps, blocks=()):
@@ -105,42 +104,33 @@ class FlatFamily(Record):
             raise DesignError("empty family has no block rank")
         return self._rank
 
-    @_OnFirstRead
-    def order(self):
-        """Block indices in sort_key order, as render writes them; range() if they
-        came in it.  Of one rank, (pivots, rep, rows) orders the columns."""
-        keys = [D and (D.pivots, r, D.rows)
-                for D, r in zip(map(self.dirs.__getitem__, self.dir_of), self.reps)]
-        keys = keys or [B.sort_key() for B in self.blocks]
-        sort = any(map(operator.gt, keys, keys[1:]))
-        return sorted(range(len(keys)), key=keys.__getitem__) if sort else range(len(keys))
-
     @cached_property
     def point_blocks(self) -> dict:
-        """Point -> blocks through it (affine families), built on first use,
-        which in decode is a received point: keys are FieldSpec.pack ints, in
-        the order of points(), and lists keep the order of blocks.  Over
-        F_{2^e} a point is the packed rep ^ an offset; over odd p one
-        itemgetter per digit gathers all a block's points from the rep's row
-        of FlatKeys.rows (a lone index twice, to give a tuple)."""
+        """Point -> indices of the blocks through it (affine families), built
+        from the columns on first use, which in decode is a received point:
+        keys are FieldSpec.pack ints, in the order of points(), and lists are
+        ascending.  Over F_{2^e} a point is the packed rep ^ an offset; over
+        odd p one itemgetter per digit gathers all a block's points from the
+        rep's row of FlatKeys.rows (a lone index twice, to give a tuple)."""
         keys, index = FlatKeys(self.geometry, 1), {}
         if self.geometry.field.p == 2:
             rep, offsets = cache(keys.rep), keys.offsets(self)
-            for b, o in zip(self.blocks, map(offsets.__getitem__, self.dir_of)):
+            for i, r, o in zip(itertools.count(), self.reps, map(offsets.__getitem__, self.dir_of)):
                 if o:  # not the empty flat
-                    r = rep(b.rep)
+                    r = rep(r)
                     for x in o:
-                        index.setdefault(r ^ x, []).append(b)
+                        index.setdefault(r ^ x, []).append(i)
             return index
         entries = [(len(vs), [operator.itemgetter(*(col * 2 if len(vs) == 1 else col))
                               for col in zip(*vs)])
                    for vs in (D.vectors() if D else [] for D in self.dirs)]
-        for b, (m, gathers) in zip(self.blocks, map(entries.__getitem__, self.dir_of)):
+        for i, r, (m, gathers) in zip(itertools.count(), self.reps,
+                                      map(entries.__getitem__, self.dir_of)):
             points = itertools.repeat(0, m)  # m sums, not 2 for a lone vector
-            for gather, row, c in zip(gathers, keys.rows, b.rep or ()):
+            for gather, row, c in zip(gathers, keys.rows, r or ()):
                 points = map(operator.add, points, gather(row[c]))
             for x in points:
-                index.setdefault(x, []).append(b)
+                index.setdefault(x, []).append(i)
         return index
 
     @cached_property
@@ -284,16 +274,13 @@ class FlatKeys:
         of its entry."""
         return [[self.offset(v) for v in D.vectors()] if D else [] for D in fam.dirs]
 
-    def _parts(self, D: LinearSubspace, shapes) -> list:
-        """(lifted key, coset offsets c*D.rows) of each shape, for blocks of D."""
-        K, zero = self.g.field, (0,) * self.g.ambient_dim
-        return [(self.pack(itertools.chain(*_lift(S, D).rows)) << self.bits,
-                 [self.offset(combine(K, zero, c, D.rows)) for c in cs]) for S, cs in shapes]
-
     def subflats(self, fam: FlatFamily):
-        """Per block of fam, the keys of its rank-t subflats in subflats() order:
-        its rep added by FlatKeys.add to the offsets of its entry of fam.dirs,
-        each entry's _parts made once."""
+        """Per block of fam, the keys of its rank-t subflats in subflats() order.
+
+        Each entry D of fam.dirs has its lifted shapes packed and its coset
+        offsets c*D.rows made once; a block adds its rep to the offsets of
+        its entry, fam.dirs[fam.dir_of[i]], by FlatKeys.add.
+        """
         g, t = self.g, self.t
         shapes = subflat_shapes(g, fam.block_rank, t)
         if g.kind == "projective":
@@ -304,26 +291,18 @@ class FlatKeys:
             for _ in range(len(fam)):
                 yield [0]
             return
-        rep, add, parts = cache(self.rep), self.add, [self._parts(D, shapes) for D in fam.dirs]
+        K, zero, bits = g.field, (0,) * g.ambient_dim, self.bits
+        rep, add, parts = cache(self.rep), self.add, [None] * len(fam.dirs)
         for r, j in zip(fam.reps, fam.dir_of):
+            if (dir_parts := parts[j]) is None:  # on first use: the meet rank may stop early
+                D = fam.dirs[j]
+                dir_parts = parts[j] = [(self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
+                                         [self.offset(combine(K, zero, c, D.rows)) for c in cs])
+                                        for S, cs in shapes]
             r, keys = rep(r), []
-            for dir_key, offsets in parts[j]:
+            for dir_key, offsets in dir_parts:
                 keys += sorted([dir_key | add(r, o) for o in offsets])
             yield keys
-
-    def by_direction(self, fam: FlatFamily):
-        """The keys of subflats(fam) in lists, not by block: per entry D of
-        fam.dirs, shape and offset, the keys of that subflat of each block
-        of D, by one map over their reps (per block if none is affine)."""
-        if self.g.kind == "projective" or self.t == 0:
-            yield from self.subflats(fam)
-            return
-        shapes, add = subflat_shapes(self.g, fam.block_rank, self.t), self.add
-        for D, at in zip(fam.dirs, fam.block_at):
-            reps = list(map(self.rep, at))
-            for dir_key, offsets in self._parts(D, shapes):
-                for o in offsets:
-                    yield list(map(dir_key.__or__, map(add, reps, itertools.repeat(o))))
 
 
 # --- verification -------------------------------------------------------------
@@ -337,9 +316,7 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     if not 0 <= t <= k:
         raise DesignError(f"t={t} is outside [0, block rank {k}]")
     keys = FlatKeys(g, t)
-    tally = Counter(itertools.chain.from_iterable(keys.by_direction(fam)))
-    if len(set(tally.values())) > 1:  # _judge's witness is the first met: count in block order
-        tally = Counter(itertools.chain.from_iterable(keys.subflats(fam)))
+    tally = Counter(itertools.chain.from_iterable(keys.subflats(fam)))
     res = _judge(tally, count_flats(g, t),
                  lambda: map(keys.key, flatspace.iter_flats(g, t)))
     return res if res.witness is None else VerifyResult(

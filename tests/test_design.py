@@ -214,12 +214,12 @@ def test_verify_design_matches_containment_count(name, t):
 ], ids=["S(2,3,7)", "poly-q3", "lines-AG(3,4)"])
 def test_point_blocks_matches_points(make):
     """The shared-offset index equals one built from each block's points(),
-    each point keyed by its FieldSpec.pack int."""
+    each point keyed by its FieldSpec.pack int, listing block indices."""
     fam = make()
     pack, oracle = fam.geometry.field.pack, {}
-    for b in fam.blocks:
+    for i, b in enumerate(fam.blocks):
         for p in b.points():
-            oracle.setdefault(pack(p), []).append(b)
+            oracle.setdefault(pack(p), []).append(i)
     assert fam.point_blocks == oracle
     assert list(fam.point_blocks) == list(oracle)  # same first-seen order
 
@@ -244,14 +244,17 @@ def _empty_flat_family():
         "lines-AG(2,5)", "lines-AG(2,9)", "planes-AG(3,3)", "points-AG(2,5)", "empty-flat"])
 def test_point_blocks_is_the_index_of_every_blocks_points(make):
     """Exactly the index of each block's points(), keyed by K.pack: the same
-    keys in first-seen order, each listing the family's own block objects
-    in block order."""
+    keys in first-seen order, each listing the indices of the blocks through
+    it in block order.  It is made from the columns: a family given only
+    its columns still has no block tuple after."""
     fam = make()
-    pack, oracle = fam.geometry.field.pack, {}
-    for b in fam.blocks:
-        for p in b.points():
-            oracle.setdefault(pack(p), []).append(b)
+    if fam.reps:
+        fam = FlatFamily.from_columns(fam.geometry, fam.dirs, fam.dir_of, fam.reps)
     index = fam.point_blocks
+    assert "blocks" not in vars(fam)
+    pack, oracle = fam.geometry.field.pack, {}
+    for i, b in enumerate(fam.blocks):
+        for p in b.points():
+            oracle.setdefault(pack(p), []).append(i)
+    assert index == oracle
     assert list(index) == list(oracle)
-    assert all(list(map(id, index[x])) == list(map(id, blocks))
-               for x, blocks in oracle.items())

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affgeo import (AffineFlat, FlatFamily, LinearSubspace, NetworkConfig,
-                    affine_geometry, affine_poly_code, affine_steiner, complete_design,
+                    affine_geometry, affine_poly_code, affine_steiner, blockfile, complete_design,
                     desarguesian_spread, expand_affine_design, field_new,
                     max_pairwise_meet_rank, run_trials, through_zero,
                     translate_closure, verify_design)
@@ -420,7 +420,8 @@ def test_twin_directions_share_one_table_entry(name):
 
 def _respelled(fam):
     """fam parsed back from its file with every other block's dir rows
-    respelled (r1 + r0, r0, ...): equal directions on distinct objects."""
+    respelled (r1 + r0, r0, ...): parse merges each respelled basis into
+    the entry of dirs its class already has, one direction object a class."""
     g = fam.geometry
     lines = render(fam).splitlines()
     for i in range(1, len(fam.blocks), 2):
@@ -431,6 +432,8 @@ def _respelled(fam):
 @pytest.mark.parametrize("how", ["twin", "basis"])
 @pytest.mark.parametrize("q", [2, 3])
 def test_readers_agree_on_twin_directions(q, how):
+    """The readers give the same results on a respelled file and on twin
+    direction objects; "twin" alone runs them on equal distinct objects."""
     fam = affine_steiner(2, 3, 2) if q == 2 else affine_steiner(2, 2, 3)
     other = _respelled(fam) if how == "basis" else _twinned(fam)
     assert other == fam
@@ -514,20 +517,25 @@ def test_columns_are_those_of_the_blocks_they_make(name, source):
     random.Random(len(blocks)).shuffle(blocks)
     shuffled = FlatFamily(fam.geometry, tuple(blocks))
     assert canonical(shuffled) == canonical(fam)
-    assert [shuffled.blocks[i] for i in shuffled.order] == list(canonical(fam).blocks)
-    assert (fam.order == range(len(fam))) == (fam == canonical(fam))
+    assert parse(render(shuffled)) == canonical(fam)
     assert render(shuffled) == render(fam)
 
 
 def test_render_of_a_constructed_family_sorts_nothing(monkeypatch):
     """translate_closure makes its cosets in sort_key order, so render
-    neither sorts nor builds the blocks: no sort_key is called."""
+    checks the order from the columns and neither sorts nor builds the
+    blocks: no sort_key or sorted call."""
     fam, calls = affine_steiner(2, 4, 2), []
     for cls in (AffineFlat, LinearSubspace):
         key = cls.sort_key
         monkeypatch.setattr(cls, "sort_key", lambda b, key=key: calls.append(b) or key(b))
+    monkeypatch.setattr(blockfile, "sorted", lambda *a, **k: calls.append(a) or sorted(*a, **k),
+                        raising=False)
     text = render(fam)
     assert not calls and "blocks" not in vars(fam)
+    shuffled = FlatFamily.from_columns(fam.geometry, fam.dirs, fam.dir_of[::-1], fam.reps[::-1])
+    assert render(shuffled) == text and calls  # out of order: sorted, by the columns
+    calls.clear()
     assert len(fam.blocks) == 5440 and text == render_oracle_s9()
     assert calls  # the oracle sorts
 
