@@ -3,13 +3,13 @@
 subspace_distance is the projective (Grassmannian) metric; d_wedge is
 its affine analog via meets, which fails the triangle inequality --
 metric_violation_witness produces the standard two-parallel-planes
-configuration.  The decoder looks a received flat up by direction, or a
-point in the point index: a received subflat of rank >= t identifies its
-block uniquely in a partial S(t, k, n).  The largest pairwise meet rank
-m, which fixes the correction radius k - m - 1, comes from a collision
-tally of the blocks' subflats, by the packed int keys of
-design.FlatKeys, whose cost is the number of rank-(m+1) subflats of the
-blocks, against b^2 pairwise meets.
+configuration.  The decoder finds block indices by direction, or a point's
+in the point index on many directions: a received subflat of rank >= t
+identifies its block uniquely in a partial S(t, k, n).  The largest
+pairwise meet rank m, which fixes the correction radius k - m - 1, comes
+from a collision tally of the blocks' subflats, by the packed int keys
+of design.FlatKeys, whose cost is the number of rank-(m+1) subflats of
+the blocks, against b^2 pairwise meets.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import design, flatspace
 from .design import FlatFamily
 from .flatspace import (AffineFlat, GeometryError, GeometrySpec,
                         LinearSubspace, PackedFlat, aff_meet, lin_meet)
+from .galois import _OnFirstRead
 
 
 @functools.total_ordering
@@ -45,11 +46,19 @@ class Erasure(DecodeError):
 
 
 class Ambiguity(DecodeError):
-    """Several blocks contain the received flat (possible only below rank t)."""
+    """Several blocks contain the received flat (possible only below rank t):
+    Ambiguity(candidates), or from decode the ascending indices of fam's
+    blocks, whose candidates are made from fam's columns on first read."""
 
-    def __init__(self, candidates):
-        self.candidates = tuple(candidates)
-        super().__init__(f"{len(self.candidates)} candidate blocks")
+    def __init__(self, candidates=(), fam=None, indices=()):
+        self.family, self.indices = fam, tuple(indices)
+        if fam is None:
+            self.candidates = tuple(candidates)
+        super().__init__(f"{len(self.indices or self.candidates)} candidate blocks")
+
+    @_OnFirstRead
+    def candidates(self) -> tuple:
+        return tuple([_block(self.family, i) for i in self.indices])
 
 
 def subspace_distance(E: LinearSubspace, F: LinearSubspace) -> int:
@@ -133,22 +142,27 @@ def correction_radius(fam: FlatFamily) -> int:
     return fam.block_rank - max_pairwise_meet_rank(fam) - 1
 
 
+def _block(fam: FlatFamily, i: int):
+    """Block i of fam, made from the columns of an affine family."""
+    if not fam.dir_of:
+        return fam.blocks[i]
+    g = fam.geometry
+    return AffineFlat(g.field, g.ambient_dim, fam.reps[i], fam.dirs[fam.dir_of[i]])
+
+
 def decode(fam: FlatFamily, received):
-    """The unique block containing the received flat.
+    """The unique block containing the received flat, made from the columns.
 
-    By direction for rank >= 2: in each entry of fam.dirs that holds all
-    the flat's RREF rows (fam.dirs_through), its rep reduced by that
-    direction is looked up in fam.block_at, and hits are made from the
-    columns.  A point is looked up in fam.point_blocks, built only then
-    from the columns, and its hits are read from fam.blocks: a DAG run
-    decodes many lone points, each with many candidates, and building the
-    tuple once costs less than making them anew each time.
-    A PackedFlat over F_2 (what aff_closure gives for packed points) has
-    its rows and rep packed already.  Candidates keep the order of
-    fam.blocks and equal its entries.
-
-    Raises Erasure when no block contains it and Ambiguity when several
-    do (possible only when the received rank is below the Steiner t).
+    Each lookup gives the ascending indices of the blocks holding the flat.
+    In each entry of fam.dirs holding all its RREF rows (fam.dirs_through;
+    every entry for a point), its rep reduced by that direction is looked up
+    in fam.block_at.  A point goes to fam.point_blocks instead, built on
+    first use, unless the family has fewer directions than a block has
+    points: len(fam.dirs) < q^(k-1).  A projective family is scanned.  A
+    PackedFlat over F_2 (what aff_closure gives for packed points) has its
+    rows and rep packed already.  Raises Erasure when no block contains
+    it and Ambiguity, with the indices, when several do (possible only when
+    the received rank is below the Steiner t).
     """
     g = fam.geometry
     affine, packed = g.kind == "affine", isinstance(received, PackedFlat)
@@ -157,26 +171,21 @@ def decode(fam: FlatFamily, received):
     rank = flatspace.flat_rank(received, g)
     if rank < 1:
         raise GeometryError("received flat must have rank >= 1")
-    if not affine or rank == 1 and g.q ** g.ambient_dim > 1 << 20:
-        received = received.unpack() if packed else received
-        hits = [b for b in fam.blocks if b.contains(received)]
+    K, dirs, at = g.field, fam.dirs, fam.block_at
+    if not affine:
+        found = [i for i, b in enumerate(fam.blocks) if b.contains(received)]
+    elif rank == 1 and not (len(fam) and len(dirs) * g.q < g.q ** fam.block_rank):
+        found = fam.point_blocks.get(received.rep if packed else K.pack(received.rep), ())
     else:
-        K, dirs, at = g.field, fam.dirs, fam.block_at
-        if rank == 1:
-            found = fam.point_blocks.get(received.rep if packed else K.pack(received.rep), ())
-            hits = list(map(fam.blocks.__getitem__, found))
-        else:  # the entries of dirs holding every row, then the rep reduced by each
-            rows = received.rows if packed else [K.pack(row) for row in received.dir.rows]
-            js = fam.dirs_through.get(rows[0], ())
-            if len(rows) > 1:
-                js = set(js).intersection(*[fam.dirs_through.get(x, ()) for x in rows[1:]])
-            rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
-            found = sorted([at[j].get(flatspace.reduce_vector(
-                K, dirs[j].rows, dirs[j].pivots, rep), -1) for j in js])
-            hits = [AffineFlat(K, g.ambient_dim, fam.reps[i], dirs[fam.dir_of[i]])
-                    for i in found if i >= 0]
-    if not hits:
+        rows = received.rows if packed else [K.pack(row) for row in received.dir.rows]
+        js = fam.dirs_through.get(rows[0], ()) if rows else range(len(dirs))
+        if len(rows) > 1:
+            js = set(js).intersection(*[fam.dirs_through.get(x, ()) for x in rows[1:]])
+        rep = K.unpack(received.rep, g.ambient_dim) if packed else received.rep
+        found = sorted([i for j in js if (i := at[j].get(flatspace.reduce_vector(
+            K, dirs[j].rows, dirs[j].pivots, rep), -1)) >= 0])
+    if not found:
         raise Erasure("no block contains the received flat")
-    if len(hits) > 1:
-        raise Ambiguity(hits)
-    return hits[0]
+    if len(found) > 1:
+        raise Ambiguity(fam=fam, indices=found)
+    return _block(fam, found[0])

@@ -107,8 +107,8 @@ class FlatFamily(Record):
     @cached_property
     def point_blocks(self) -> dict:
         """Point -> indices of the blocks through it (affine families), built
-        from the columns on first use, which in decode is a received point:
-        keys are FieldSpec.pack ints, in the order of points(), and lists are
+        from the columns on first use (see codes.decode): keys are
+        FieldSpec.pack ints, in the order of points(), and lists are
         ascending.  Over F_{2^e} a point is the packed rep ^ an offset; over
         odd p one itemgetter per digit gathers all a block's points from the
         rep's row of FlatKeys.rows (a lone index twice, to give a tuple)."""

@@ -53,30 +53,20 @@ def vec_sub(K: FieldSpec, u, v):
 
 
 def rref_rows(K: FieldSpec, rows, d):
-    """Reduced row echelon form; returns (rows, pivots) as tuples."""
-    add, mul, neg = K._add, K._mul, K._neg
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(d):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        lead = work[r][col]
-        if lead != 1:
-            ml = mul[K._inv[lead]]
-            work[r] = [ml[x] for x in work[r]]
-        top = work[r]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                mc = mul[neg[work[i][col]]]
-                work[i] = [add[x][mc[y]] for x, y in zip(work[i], top)]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(map(tuple, work[:r])), tuple(pivots)
+    """Reduced row echelon form on the first d columns; returns (rows,
+    pivots) as tuples.  Each row is reduced by the rows so far, by table
+    rows; a new pivot is scaled to 1 and cleared from the earlier rows, and
+    the rows are sorted by pivot at the end.  Rows with no pivot go."""
+    pivots, out = [], []
+    for v in rows:
+        v = reduce_vector(K, out, pivots, v)
+        if (lead := next(filter(None, v), 0)) and (c := v.index(lead)) < d:
+            if lead != 1:
+                v = tuple(map(K._mul[K._inv[lead]].__getitem__, v))
+            out = [reduce_vector(K, (v,), (c,), r) for r in out] + [v]
+            pivots.append(c)
+    pivots, out = zip(*sorted(zip(pivots, out))) if out else ((), ())
+    return out, pivots
 
 
 def reduce_vector(K: FieldSpec, rows, pivots, v):
@@ -322,20 +312,19 @@ def xor_reduce(v: int, rows) -> int:
 
 def aff_closure(points, spec: FieldSpec, d: int | None = None) -> AffineFlat | PackedFlat:
     """Smallest coset containing the given nonempty point set: tuples of
-    encodings over spec, closed by the RREF of their distinct nonzero
-    differences from the first point (if none, the point alone).  With spec
-    F_2 and d given, the points are FieldSpec.pack ints of F_2^d, and their
-    closure, a PackedFlat, is an XOR basis of those differences, in RREF."""
+    encodings over spec, whose flat is made directly from the rref_rows of
+    their distinct differences from the first point.  With spec F_2 and d
+    given, the points are FieldSpec.pack ints of F_2^d, and their closure,
+    a PackedFlat, is an XOR basis of those differences, in RREF."""
     if not points:
         raise GeometryError("affine closure of an empty set is undefined")
     base = points[0]
     if d is None:
         subs = [spec._add[spec._neg[c]] for c in base]  # row i maps x_i to x_i - base_i
-        diffs = {tuple(map(list.__getitem__, subs, p)) for p in points[1:]}
-        diffs.discard((0,) * len(base))
-        if not diffs:  # one distinct point
-            return AffineFlat(spec, len(base), tuple(base), LinearSubspace.zero(spec, len(base)))
-        return AffineFlat.coset(base, LinearSubspace.from_rows(spec, len(base), diffs))
+        rows, pivots = rref_rows(spec, {tuple(map(list.__getitem__, subs, p)) for p in points[1:]},
+                                 len(base))
+        return AffineFlat(spec, len(base), reduce_vector(spec, rows, pivots, base),
+                          LinearSubspace(spec, len(base), rows, pivots))
     if spec.order != 2:
         raise GeometryError("packed points add by ^ only over F_2")
     basis = []
@@ -393,10 +382,12 @@ def parallel(E: AffineFlat, F: AffineFlat) -> bool:
 def flat_rank(f, g: GeometrySpec) -> int:
     """Matroid rank of a flat within its geometry."""
     if g.kind == "affine":
-        if not isinstance(f, (AffineFlat, PackedFlat)) or f.d != g.ambient_dim or f.spec != g.field:
+        if (not isinstance(f, (AffineFlat, PackedFlat)) or f.d != g.ambient_dim
+                or f.spec is not g.field and f.spec != g.field):
             raise GeometryError("flat does not belong to this affine geometry")
         return f.rank
-    if not isinstance(f, LinearSubspace) or f.d != g.ambient_dim or f.spec != g.field:
+    if (not isinstance(f, LinearSubspace) or f.d != g.ambient_dim
+            or f.spec is not g.field and f.spec != g.field):
         raise GeometryError("flat does not belong to this projective geometry")
     return f.dim
 

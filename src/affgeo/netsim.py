@@ -216,9 +216,9 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
     rep ^ each dir row (packed once per entry of code.dirs), combined by ^
     and closed by an XOR basis into a PackedFlat, which decode takes
     packed.  Tuples serve q > 2.  Both paths give the same statistics from
-    the same stream.  The received flat lies in the sent block, so decode,
-    which finds every block holding it, must return that block or list it
-    among the ambiguous ones; else run_trials raises.
+    the same stream.  The received flat lies in the sent block j, so decode
+    must return that block or raise an Ambiguity whose indices hold j (its
+    candidates are not read); else run_trials raises.
     """
     if not len(code):
         raise ValueError("empty code")
@@ -260,7 +260,7 @@ def run_trials(code: FlatFamily, cfg: NetworkConfig, trials: int, seed: int,
         try:  # decode lists every block holding received: the sent one must be among them
             decoded = codes.decode(code, received)
         except codes.Ambiguity as amb:
-            if (rep, D) not in [(b.rep, b.dir) for b in amb.candidates]:
+            if j not in amb.indices:
                 raise AssertionError("closure invariant violated: received not in block") from None
             ambiguities += 1
             continue

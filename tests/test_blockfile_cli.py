@@ -198,19 +198,28 @@ def test_cli_analyze_computes_meet_rank_once(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("ell", [3, 4], ids=["S(2,3,7)", "S(2,3,9)"])
 def test_cli_never_builds_the_block_tuple(tmp_path, monkeypatch, capsys, ell):
-    """verify, analyze, expand and a forced simulate of an affine file read
-    the family's columns: fam.blocks is never built."""
+    """verify, analyze, expand and a forced or DAG simulate of an affine file
+    read the family's columns: fam.blocks is never built, also by the
+    ambiguous decodes of S(2,3,n) or the q = 19 code's points."""
     path, out = str(tmp_path / "s.blocks"), str(tmp_path / "s.txt")
+    q19 = str(tmp_path / "q19.blocks")
     assert main(["construct", "affine-steiner", "--q", "2", "--k", "2", "--l", str(ell),
                  "--out", path]) == 0
+    assert main(["construct", "poly-code", "--q", "19", "--m", "2", "--l", "1", "--t", "1",
+                 "--out", q19]) == 0
     loaded, parse = [], blockfile.parse
     monkeypatch.setattr(blockfile, "parse", lambda text: loaded.append(parse(text)) or loaded[-1])
+    dag = ["--trials", "100", "--layers", "3", "--width", "8", "--drop-prob", "1/10"]
     for argv in (["verify", path, "--t", "2"], ["analyze", path],
                  ["expand", path, "--mode", "affine-2", "--out", out],
-                 ["simulate", path, "--trials", "100", "--forced-deletions", "1"]):
+                 ["simulate", path, "--trials", "100", "--forced-deletions", "1"],
+                 ["simulate", path, *dag], ["simulate", q19, *dag]):
         assert main(argv) == 0
-    assert len(loaded) == 4 and not any("blocks" in vars(fam) for fam in loaded)
-    assert "successes=100\n" in capsys.readouterr().out
+    assert len(loaded) == 6 and not any("blocks" in vars(fam) for fam in loaded)
+    reports = capsys.readouterr().out
+    assert "successes=100\n" in reports
+    assert "ambiguities=0\n" not in reports.split("trials=")[-2]  # the S(2,3,n) DAG run
+    assert "point_blocks" in vars(loaded[4]) and "point_blocks" not in vars(loaded[5])
 
 
 def test_cli_roundtrip_byte_identical(tmp_path):

@@ -300,3 +300,85 @@ def test_decode_by_direction_matches_linear_scan(make):
             outcomes.add(want[1])
     assert "point_blocks" not in vars(fam)
     assert outcomes == {None, Ambiguity} or outcomes >= {None, Erasure}
+
+
+def _big_field_family():
+    """Twelve planes of AG(6, 16), q^d = 2^24 > 2^20: three directions, four
+    cosets each, one through the origin, so the origin lies on three."""
+    K, rng = field_new(2, 4), random.Random(16)
+    dirs = []
+    while len(dirs) < 3:
+        D = LinearSubspace.from_rows(K, 6, [tuple(rng.randrange(16) for _ in range(6))
+                                            for _ in range(2)])
+        if D.dim == 2 and D not in dirs:
+            dirs.append(D)
+    reps = [(0,) * 6] + [tuple(rng.randrange(16) for _ in range(6)) for _ in range(3)]
+    return FlatFamily(affine_geometry(K, 7), tuple(
+        AffineFlat.coset(r, D) for D in dirs for r in reps))
+
+
+# family, whether points go to the point index (len(dirs) >= q^(k-1)), every
+# point of the geometry or not; the poly codes partition the points
+DECODE_LOOKUP_FAMILIES = {
+    "s237": (lambda: affine_steiner(2, 3, 2), True, True),
+    "q3-s235": (lambda: affine_steiner(2, 2, 3), True, True),
+    "poly-q19": (lambda: affine_poly_code(19, 2, 1, 1), False, True),
+    "poly-f16": (lambda: affine_poly_code(16, 2, 1, 1), False, True),
+    "ag6-f16-planes": (_big_field_family, False, False),
+}
+
+
+def _random_flat(K, d, rng, r, inside=None):
+    """A random rank-r flat of AG(d, q), or of the block inside."""
+    while True:
+        pts = (rng.sample(inside.points(), r) if inside else
+               [tuple(rng.randrange(K.order) for _ in range(d)) for _ in range(r)])
+        if (flat := aff_closure(pts, K)).rank == r:
+            return flat
+
+
+@pytest.mark.parametrize("make, by_index, every_point", DECODE_LOOKUP_FAMILIES.values(),
+                         ids=DECODE_LOOKUP_FAMILIES.keys())
+def test_decode_lookups_match_object_scan(make, by_index, every_point):
+    """decode, on a family held as columns, against the object scan
+    [b for b in fam.blocks if b.contains(x)]: the same block, exception type
+    and Ambiguity candidates, in order, for every point (of the geometry, or
+    of the blocks and some more) and random flats of each rank 1..k, also
+    as PackedFlats over F_2.  Points are looked up by the fixed rule, and
+    neither lookup builds the block tuple."""
+    fam = make()
+    g, K, d, k = fam.geometry, fam.geometry.field, fam.geometry.ambient_dim, fam.block_rank
+    code = FlatFamily.from_columns(g, fam.dirs, fam.dir_of, fam.reps)
+    rng = random.Random(19)
+
+    def scan(_, flat):
+        hits = [b for b in fam.blocks if b.contains(flat)]
+        if not hits:
+            raise Erasure("no block contains the received flat")
+        if len(hits) > 1:
+            raise Ambiguity(hits)
+        return hits[0]
+
+    on = {}  # point -> the blocks through it, in order: the scan for a point
+    for b in fam.blocks:
+        for x in b.points():
+            on.setdefault(x, []).append(b)
+    points = (flatspace.enumerate_points(g) if every_point else
+              list(on) + [tuple(rng.randrange(K.order) for _ in range(d)) for _ in range(50)])
+    outcomes = set()
+    for x in points:
+        hits, got = on.get(x, []), decode_outcome(decode, code, aff_closure([x], K))
+        assert got == ((hits[0], None, ()) if len(hits) == 1 else
+                       (None, Ambiguity if hits else Erasure, tuple(hits) if hits else ())), x
+        outcomes.add(got[1])
+    flats = [_random_flat(K, d, rng, r, inside) for r in range(1, k + 1)
+             for inside in [None] * 20 + rng.choices(fam.blocks, k=20)]
+    for flat in flats:
+        want = decode_outcome(scan, fam, flat)
+        assert decode_outcome(decode, code, flat) == want, flat
+        if g.q == 2:
+            assert decode_outcome(decode, code, _packed(flat)) == want, flat
+        outcomes.add(want[1])
+    assert outcomes == {None, Erasure} | ({Ambiguity} if max_pairwise_meet_rank(fam) else set())
+    assert ("point_blocks" in vars(code)) == by_index
+    assert "blocks" not in vars(code)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from affgeo import (AffineFlat, GeometryError, GuardExceeded, LinearSubspace,
                     hyperplane_restriction, lin_join, lin_meet,
                     normalize_projective_point, parallel,
                     projective_completion, projective_geometry)
+from affgeo.flatspace import rref_rows
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -212,6 +214,72 @@ def test_packed_aff_closure_matches_tuple_closure(case):
     d, pts = case
     packed, flat = aff_closure([F2.pack(p) for p in pts], F2, d), aff_closure(pts, F2)
     assert packed.unpack() == flat and packed.rank == flat.rank
+
+
+def rref_by_columns(K, rows, d):
+    """The oracle for rref_rows: column-by-column Gauss-Jordan elimination
+    on the first d columns (the kernel rref_rows replaced)."""
+    add, mul, neg = K._add, K._mul, K._neg
+    work, pivots, r = [list(row) for row in rows], [], 0
+    for col in range(d):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        if work[r][col] != 1:
+            work[r] = [mul[K._inv[work[r][col]]][x] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                mc = mul[neg[work[i][col]]]
+                work[i] = [add[x][mc[y]] for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(map(tuple, work[:r])), tuple(pivots)
+
+
+ODD_FIELDS = {"F3": field_new(3), "F4": field_new(2, 2), "F5": field_new(5),
+              "F9": field_new(3, 2)}
+
+
+def _random_vectors(K, rng, n, width):
+    """n vectors of F_q^width, some repeated and some zero."""
+    out = []
+    for _ in range(n):
+        pick = rng.random()
+        if out and pick < 0.25:
+            out.append(rng.choice(out))
+        else:
+            out.append(tuple(0 if pick > 0.9 else rng.randrange(K.order) for _ in range(width)))
+    return out
+
+
+@pytest.mark.parametrize("K", [F2, *ODD_FIELDS.values()], ids=["F2", *ODD_FIELDS])
+def test_rref_rows_matches_column_elimination(K):
+    rng = random.Random(K.order)
+    for _ in range(400):
+        d, extra = rng.randint(1, 5), rng.choice((0, 0, 2))
+        rows = _random_vectors(K, rng, rng.randint(0, 6), d + extra)
+        got, want = rref_rows(K, rows, d), rref_by_columns(K, rows, d)
+        if extra:  # eliminated on the first d columns only: the rest is not canonical
+            got, want = [(tuple(r[:d] for r in x[0]), x[1]) for x in (got, want)]
+        assert got == want, (rows, d)
+
+
+@pytest.mark.parametrize("K", ODD_FIELDS.values(), ids=ODD_FIELDS.keys())
+def test_odd_aff_closure_matches_from_rows_path(K):
+    """The q > 2 closure against coset(base, from_rows(differences)), the
+    path it replaced, with the column-elimination kernel: 1-6 points of
+    F_q^d, d <= 4, duplicates included; equal flats, equal rows and pivots."""
+    rng = random.Random(K.order * 7)
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        pts = _random_vectors(K, rng, rng.randint(1, 6), d)
+        diffs = {tuple(K.sub(x, y) for x, y in zip(p, pts[0])) for p in pts[1:]}
+        want = AffineFlat.coset(pts[0], LinearSubspace(K, d, *rref_by_columns(K, diffs, d)))
+        got = aff_closure(pts, K)
+        assert got == want and got.rank == want.rank, pts
+        assert (got.dir.rows, got.dir.pivots) == (want.dir.rows, want.dir.pivots), pts
+        assert got.points() and set(pts) <= set(got.points())
 
 
 def test_packed_aff_closure_needs_f2():
