@@ -8,8 +8,9 @@ in the point index on many directions: a received subflat of rank >= t
 identifies its block uniquely in a partial S(t, k, n).  The largest
 pairwise meet rank m, which fixes the correction radius k - m - 1, comes
 from a collision tally of the blocks' subflats, by the packed int keys
-of design.FlatKeys, whose cost is the number of rank-(m+1) subflats of
-the blocks, against b^2 pairwise meets.
+of design.FlatKeys, one subflat direction at a time (FlatKeys.groups):
+its cost is the number of rank-(m+1) subflats of the blocks, against b^2
+pairwise meets, in the memory of one direction's cosets.
 """
 
 from __future__ import annotations
@@ -93,24 +94,20 @@ def max_pairwise_meet_rank(fam: FlatFamily) -> int:
 
     Ascending collision tally: a meet of flats is a flat, so the meet
     rank is at least r exactly when some rank-r flat lies in two blocks.
-    Level r = 1, 2, ..., k-1 puts the packed keys of the blocks' rank-r
-    subflats (design.FlatKeys) in a set, a block at a time, and stops
-    once the set holds fewer keys than it was given (a block's own
+    Level r = 1, 2, ..., k-1 tallies the packed keys of the blocks' rank-r
+    subflats one group (subflat direction) at a time, design.FlatKeys.groups,
+    and stops at the first group with a key counted twice (a block's own
     subflats are distinct); the answer is r-1 for the first level with no
     repeat, or k-1.  Cost: the rank-(m+1) subflats of all blocks, against
-    b^2 meets for a pairwise scan.
+    b^2 meets for a pairwise scan, in the memory of one group's tally: at
+    most q^(d-r+1) keys, the cosets of one direction.
     """
     if len(fam) < 2:
         return 0
-    g = fam.geometry
-    k = fam.block_rank
+    g, k = fam.geometry, fam.block_rank
     for r in range(1, k):
-        seen, n = set(), 0
-        for keys in design.FlatKeys(g, r).subflats(fam):
-            seen.update(keys)
-            if len(seen) < (n := n + len(keys)):
-                break
-        else:
+        keys = design.FlatKeys(g, r)
+        if all(max(tally.values()) == 1 for tally in map(keys.tally, keys.groups(fam).values())):
             return r - 1
     return k - 1
 

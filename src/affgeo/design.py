@@ -5,14 +5,13 @@ A FlatFamily is a geometry plus a deduplicated list of equal-rank flats
 (blocks); an affine one is held as columns (dirs, dir_of, reps), which
 every reader indexes, and makes its block objects only when asked.
 verify_design counts, for every rank-t flat of the geometry, how many
-blocks contain it, by enumerating each block's rank-t subflats and
-tallying, which is linear in the blocks rather than in all (t-flat, block)
-pairs.  The tally counts packed int keys (FlatKeys), not flat objects: a
-block's subflat keys are FlatKeys.add of its rep and offsets made once per
-entry of dirs.  subflats() gives the same subflats as objects; the tests
-tally those as the oracle.  There is one packing, FieldSpec.pack: the
-tally keys, FlatFamily.point_blocks and FlatFamily.dirs_through all key
-vectors by it.
+blocks contain it, by tallying packed int keys (FlatKeys) of the blocks'
+rank-t subflats, one group at a time: a subflat of a block with direction
+D has a lift of a subspace of D as direction, so (entry of dirs, subflat
+shape) pairs are grouped by that lift, and a group tallies the cosets of
+one direction and is dropped.  subflats() gives the same subflats as
+objects; the tests tally those as the oracle.  There is one packing,
+FieldSpec.pack: tally keys, point_blocks and dirs_through key vectors by it.
 
 All counts are exact integers; lambda_s is an exact Fraction.
 """
@@ -23,7 +22,7 @@ import itertools
 import math
 import operator
 from collections import Counter, deque
-from functools import cache, cached_property
+from functools import cache
 
 from . import flatspace
 from .flatspace import (AffineFlat, GeometrySpec, LinearSubspace, combine,
@@ -104,7 +103,7 @@ class FlatFamily(Record):
             raise DesignError("empty family has no block rank")
         return self._rank
 
-    @cached_property
+    @_OnFirstRead
     def point_blocks(self) -> dict:
         """Point -> indices of the blocks through it (affine families), built
         from the columns on first use (see codes.decode): keys are
@@ -133,7 +132,7 @@ class FlatFamily(Record):
                 index.setdefault(x, []).append(i)
         return index
 
-    @cached_property
+    @_OnFirstRead
     def dirs_through(self) -> dict:
         """Packed vector with leading 1 -> indices of the entries of dirs holding it."""
         index, pack = {}, self.geometry.field.pack
@@ -185,10 +184,10 @@ class VerifyResult(Record):
 def subflat_shapes(g: GeometrySpec, k: int, t: int) -> list:
     """The per-level part of subflats() for rank-k blocks, computed once:
     (S, cs) for each subspace S in block coordinates (dim t in PG, t-1 in
-    AG) and, in AG, the coset coefficient tuples cs, zero on S's pivots."""
+    AG) and the coset coefficient tuples cs, zero on S's pivots ([()] in PG)."""
     K = g.field
     if g.kind == "projective":
-        return [(S, ()) for S in flatspace.enumerate_subspaces(K, k, t)]
+        return [(S, [()]) for S in flatspace.enumerate_subspaces(K, k, t)]
     if t == 0:
         return []
     lex = K.encodings_lex()
@@ -199,7 +198,7 @@ def subflat_shapes(g: GeometrySpec, k: int, t: int) -> list:
 def subflats(block, t: int, g: GeometrySpec, shapes=None):
     """All rank-t flats in block; shapes is subflat_shapes(g, k, t).  A coset
     rep + c*dir is canonical as rep is zero on dir's pivots and c on S's.
-    FlatKeys.subflats gives their keys, in this order."""
+    FlatKeys.groups gives their keys, per block in this order (parts)."""
     if shapes is None:
         shapes = subflat_shapes(g, flat_rank(block, g), t)
     if g.kind == "projective":
@@ -230,14 +229,14 @@ class FlatKeys:
     A vector packs by FieldSpec.pack into fixed-width digits, most
     significant first, so int order is tuple order.  A subspace's key is
     its packed RREF rows; an affine flat's key puts its direction's packed
-    rows above its packed rep.  Both parts are canonical, so equal flats
-    have equal keys.
+    rows, G, above its packed rep, bits wide (a subspace's G is its key, and
+    bits 0).  Both parts are canonical, so equal flats have equal keys.
     """
 
     def __init__(self, g: GeometrySpec, t: int):
         K = g.field
         self.g, self.t = g, t
-        self.bits = K._width * g.ambient_dim
+        self.bits = K._width * g.ambient_dim if g.kind == "affine" else 0
         self.pack = K.pack
         self.unpack = lambda x: K.unpack(x, g.ambient_dim)
         # add(rep(v), offset(o)) packs v + o, chosen once per field: over F_{2^e}
@@ -260,7 +259,7 @@ class FlatKeys:
     def flat(self, key: int):
         """The rank-t flat of g with this key."""
         K, d = self.g.field, self.g.ambient_dim
-        vectors = [self.unpack(key >> self.bits * i) for i in reversed(range(self.t))]
+        vectors = [self.unpack(key >> K._width * d * i) for i in reversed(range(self.t))]
         if self.g.kind == "projective":
             return LinearSubspace.from_rows(K, d, vectors)
         if self.t == 0:
@@ -274,35 +273,32 @@ class FlatKeys:
         of its entry."""
         return [[self.offset(v) for v in D.vectors()] if D else [] for D in fam.dirs]
 
-    def subflats(self, fam: FlatFamily):
-        """Per block of fam, the keys of its rank-t subflats in subflats() order.
+    def groups(self, fam: FlatFamily) -> dict:
+        """fam's rank-t subflats (t >= 1) by the high part G of their keys: G ->
+        [(reps, offsets)], a pair per entry of fam.dirs (block, in PG) and shape,
+        keys G << bits | add(r, o).  Sets self.reps, per entry its blocks' packed
+        reps (0 in PG), and self.parts, per entry (G, offsets) by subflats()."""
+        g, K = self.g, self.g.field
+        zero, shapes = (0,) * g.ambient_dim, subflat_shapes(g, fam.block_rank, self.t)
+        self.reps = [[self.rep(zero)]] * len(fam) if not fam.dir_of else [[] for _ in fam.dirs]
+        deque(map(list.append, map(self.reps.__getitem__, fam.dir_of),
+                  map(cache(self.rep), fam.reps)), 0)
+        self.parts = [[(self.pack(itertools.chain(*_lift(S, D).rows)),
+                        [self.offset(combine(K, zero, c, D.rows)) for c in cs])
+                       for S, cs in shapes] for D in fam.dirs or fam.blocks]
+        groups = {}
+        for reps, part in zip(self.reps, self.parts):
+            for G, offsets in part:
+                groups.setdefault(G, []).append((reps, offsets))
+        return groups
 
-        Each entry D of fam.dirs has its lifted shapes packed and its coset
-        offsets c*D.rows made once; a block adds its rep to the offsets of
-        its entry, fam.dirs[fam.dir_of[i]], by FlatKeys.add.
-        """
-        g, t = self.g, self.t
-        shapes = subflat_shapes(g, fam.block_rank, t)
-        if g.kind == "projective":
-            for B in fam.blocks:
-                yield [self.pack(itertools.chain(*_lift(S, B).rows)) for S, _ in shapes]
-            return
-        if t == 0:
-            for _ in range(len(fam)):
-                yield [0]
-            return
-        K, zero, bits = g.field, (0,) * g.ambient_dim, self.bits
-        rep, add, parts = cache(self.rep), self.add, [None] * len(fam.dirs)
-        for r, j in zip(fam.reps, fam.dir_of):
-            if (dir_parts := parts[j]) is None:  # on first use: the meet rank may stop early
-                D = fam.dirs[j]
-                dir_parts = parts[j] = [(self.pack(itertools.chain(*_lift(S, D).rows)) << bits,
-                                         [self.offset(combine(K, zero, c, D.rows)) for c in cs])
-                                        for S, cs in shapes]
-            r, keys = rep(r), []
-            for dir_key, offsets in dir_parts:
-                keys += sorted([dir_key | add(r, o) for o in offsets])
-            yield keys
+    def tally(self, pairs) -> Counter:
+        """How often each add(r, o) occurs in a group's pairs (reps, offsets)."""
+        tally = Counter()
+        for reps, offsets in pairs:
+            for o in offsets:
+                tally.update(map(self.add, reps, itertools.repeat(o)))
+        return tally
 
 
 # --- verification -------------------------------------------------------------
@@ -315,31 +311,34 @@ def verify_design(fam: FlatFamily, t: int) -> VerifyResult:
     k = fam.block_rank
     if not 0 <= t <= k:
         raise DesignError(f"t={t} is outside [0, block rank {k}]")
+    if t == 0:  # the one rank-0 flat lies in every block
+        return VerifyResult(True, lam=len(fam))
     keys = FlatKeys(g, t)
-    tally = Counter(itertools.chain.from_iterable(keys.subflats(fam)))
-    res = _judge(tally, count_flats(g, t),
-                 lambda: map(keys.key, flatspace.iter_flats(g, t)))
+    groups, tally = keys.groups(fam), cache(lambda G: keys.tally(groups.get(G, ())))
+    J, reps = fam.dir_of or range(len(fam)), list(map(iter, keys.reps))
+    res = _judge(map(keys.tally, groups.values()), count_flats(g, t),
+                 lambda: map(keys.key, flatspace.iter_flats(g, t)),
+                 lambda key: tally(key >> keys.bits)[key % (1 << keys.bits)],
+                 (key for j, r in zip(J, map(next, map(reps.__getitem__, J)))
+                  for G, offsets in keys.parts[j]
+                  for key in sorted([G << keys.bits | keys.add(r, o) for o in offsets])))
     return res if res.witness is None else VerifyResult(
         res.ok, res.lam, keys.flat(res.witness), res.counts)
 
 
-def _judge(tally: Counter, total: int, everything) -> VerifyResult:
-    """lambda when all `total` keys are counted equally often, else a witness.
-
-    everything() lists every key; it is walked only when some key is
-    uncovered, and the first uncovered one is the witness.
-    """
-    values = set(tally.values())
-    if len(values) == 1 and len(tally) == total:
+def _judge(tallies, total: int, everything, count, blockwise) -> VerifyResult:
+    """lambda when the tallies, Counters of disjoint keys, count all `total`
+    equally often.  Else the witness is the first key of everything() that
+    count(key) finds uncovered, else the first key of blockwise counted least."""
+    covered, values = 0, set()
+    for tally in tallies:
+        covered += len(tally)
+        values.update(tally.values())
+    if len(values) == 1 and covered == total:
         return VerifyResult(True, lam=values.pop())
-    if len(tally) < total:
-        observed = max(values) if values else 0
-        for key in everything():
-            if key not in tally:
-                return VerifyResult(False, witness=key, counts=(0, observed))
-    lo, hi = min(values), max(values)
-    wit = next(key for key, c in tally.items() if c == lo)
-    return VerifyResult(False, witness=wit, counts=(lo, hi))
+    lo, walk = (0, everything()) if covered < total else (min(values), blockwise)
+    witness = next(key for key in walk if count(key) == lo)
+    return VerifyResult(False, witness=witness, counts=(lo, max(values, default=0)))
 
 
 def lambda_s(p: DesignParams, typ, s: int):
@@ -415,8 +414,8 @@ def verify_classical(design: ClassicalDesign, t: int) -> VerifyResult:
         for combo in itertools.combinations(sorted(b), t):
             tally[combo] += 1
     v = design.point_count
-    return _judge(tally, math.comb(v, t),
-                  lambda: itertools.combinations(range(v), t))
+    return _judge([tally], math.comb(v, t), lambda: itertools.combinations(range(v), t),
+                  tally.__getitem__, tally)
 
 
 def ev11_compose(fam: FlatFamily) -> ClassicalDesign:

@@ -1,11 +1,15 @@
-"""The keyed subflat tally against the object tally it replaced.
+"""The grouped, keyed subflat tally against the object tally it replaced.
 
 verify_design and max_pairwise_meet_rank count packed int keys
-(design.FlatKeys).  The oracles below tally the AffineFlat /
-LinearSubspace objects of design.subflats() instead, so every result,
-witness included, must come out the same.
+(design.FlatKeys), one group of subflat directions at a time.  The oracles
+below tally the AffineFlat / LinearSubspace objects of design.subflats()
+in one Counter instead, and judge it by the witness rule on its own, so
+every result, witness included, must come out the same.
 """
 
+import gc
+import itertools
+import tracemalloc
 from collections import Counter
 from functools import cache
 
@@ -18,19 +22,34 @@ from affgeo import (AffineFlat, FlatFamily, GuardExceeded, LinearSubspace,
                     complete_design, desarguesian_spread, field_new,
                     max_pairwise_meet_rank, projective_geometry, verify_design)
 from affgeo import flatspace
-from affgeo.design import FlatKeys, VerifyResult, _judge, subflat_shapes, subflats
-from affgeo.flatspace import count_flats, enumerate_flats, enumerate_points
+from affgeo.design import FlatKeys, VerifyResult, subflat_shapes, subflats
+from affgeo.flatspace import count_flats, enumerate_flats, enumerate_points, iter_flats
 from affgeo.galois import field_of_order
 
 
+def object_judge(tally, total, everything):
+    """lambda when one Counter counts all `total` keys equally often; else the
+    first key of everything() it lacks, else the first key counted least in
+    its own order (that of first appearance, block by block)."""
+    values = set(tally.values())
+    if len(values) == 1 and len(tally) == total:
+        return VerifyResult(True, lam=values.pop())
+    if len(tally) < total:
+        witness = next(key for key in everything() if key not in tally)
+        return VerifyResult(False, witness=witness, counts=(0, max(values, default=0)))
+    lo = min(values)
+    witness = next(key for key, c in tally.items() if c == lo)
+    return VerifyResult(False, witness=witness, counts=(lo, max(values)))
+
+
 def object_verify(fam, t):
-    """verify_design as a Counter of subflats() objects, judged by _judge."""
+    """verify_design as one Counter of subflats() objects, by object_judge."""
     g = fam.geometry
     shapes = subflat_shapes(g, fam.block_rank, t)
     tally = Counter()
     for b in fam.blocks:
         tally.update(subflats(b, t, g, shapes))
-    return _judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
+    return object_judge(tally, count_flats(g, t), lambda: enumerate_flats(g, t))
 
 
 def object_meet_rank(fam):
@@ -102,9 +121,9 @@ def test_failing_verify_stops_its_walk_at_the_list_walks_witness(monkeypatch):
     full = family("poly-q19")
     fam = FlatFamily(full.geometry, full.blocks[:5])
     g, keys = fam.geometry, FlatKeys(fam.geometry, 2)
-    tally = Counter(key for block_keys in keys.subflats(fam) for key in block_keys)
+    tally = Counter(keys.key(f) for b in fam.blocks for f in subflats(b, 2, g))
     listed = [keys.key(f) for f in enumerate_flats(g, 2)]  # 137,541 lines
-    expected = _judge(tally, len(listed), lambda: listed)
+    expected = object_judge(tally, len(listed), lambda: listed)
     walked, iter_flats = [], flatspace.iter_flats
     monkeypatch.setattr(flatspace, "iter_flats",
                         lambda g, t: (walked.append(f) or f for f in iter_flats(g, t)))
@@ -181,9 +200,72 @@ def test_every_flat_round_trips_through_its_key(g):
 
 
 def test_subflat_keys_are_the_keys_of_subflats():
-    for name in ("s2-f4", "s2-f3", "pg32-lines"):
+    # the grouped walk against the keys of subflats() objects: the groups'
+    # tallies, put together, are the object tally, each group holds one G
+    # (in AG at most the q^(d-t+1) cosets of one direction), and each
+    # block's keys come from its entry's parts in subflats() order
+    for name in ("s2-f4", "s2-f3", "pg32-lines", "s237"):
         fam = family(name)
-        for t in range(fam.block_rank + 1):
-            keys = FlatKeys(fam.geometry, t)
-            assert list(keys.subflats(fam)) == [
-                [keys.key(f) for f in subflats(b, t, fam.geometry)] for b in fam.blocks]
+        g = fam.geometry
+        zero = (0,) * g.ambient_dim
+        for t in range(1, fam.block_rank + 1):
+            keys = FlatKeys(g, t)
+            objects = [[keys.key(f) for f in subflats(b, t, g)] for b in fam.blocks]
+            grouped = Counter()
+            for G, pairs in keys.groups(fam).items():
+                tally = keys.tally(pairs)
+                if g.kind == "affine":
+                    assert len(tally) <= g.q ** (g.ambient_dim - t + 1)
+                assert not grouped.keys() & {G << keys.bits | x for x in tally}
+                grouped.update({G << keys.bits | x: n for x, n in tally.items()})
+            assert grouped == Counter(itertools.chain(*objects)), t
+            if g.kind == "affine":
+                assert keys.reps == [[keys.rep(b.rep) for b in fam.blocks if b.dir == D]
+                                     for D in fam.dirs]
+            entries = fam.dir_of or range(len(fam))
+            assert [[key for G, offsets in keys.parts[j] for key in sorted(
+                G << keys.bits | keys.add(keys.rep(b.rep if g.kind == "affine" else zero), o)
+                for o in offsets)] for j, b in zip(entries, fam.blocks)] == objects, t
+
+
+def no_class_and_extra_planes():
+    """S(2,3,7) without one parallel class, so the lines of its direction
+    form no group at all, and with three planes from outside it put in the
+    middle and in front, so every line is covered, some of them twice."""
+    fam = family("s237")
+    g, blocks = fam.geometry, fam.blocks
+    D, mid, have = blocks[len(blocks) // 2].dir, len(blocks) // 2, set(blocks)
+    extra = tuple(itertools.islice((f for f in iter_flats(g, 3) if f not in have), 3))
+    return {"no-class": FlatFamily(g, tuple(b for b in blocks if b.dir != D)),
+            "extra": FlatFamily(g, blocks[:mid] + extra + blocks[mid:]),
+            "extra-first": FlatFamily(g, extra + blocks)}
+
+
+@pytest.mark.parametrize("variant", ["no-class", "extra", "extra-first"])
+def test_failing_families_match_object_tally(variant):
+    fam = no_class_and_extra_planes()[variant]
+    outcomes = []
+    for t in range(fam.block_rank + 1):
+        res = verify_design(fam, t)
+        assert res == object_verify(fam, t), t
+        outcomes.append(outcome(res))
+    assert outcomes == (["ok", "ok", "uncovered", "uncovered"] if variant == "no-class"
+                        else ["ok", "uneven", "uneven", "uncovered"])
+    assert max_pairwise_meet_rank(fam) == object_meet_rank(fam)
+    if variant == "no-class":  # the witness's direction has no group at all
+        keys = FlatKeys(fam.geometry, 2)
+        assert keys.key(verify_design(fam, 2).witness) >> keys.bits not in keys.groups(fam)
+
+
+def test_tally_peaks_within_half_a_mib_above_the_family_on_s239():
+    tracemalloc.start()
+    try:
+        fam = affine_steiner(2, 4, 2)  # S(2,3,9): 5440 planes of AG(8,2)
+        for run in (lambda: verify_design(fam, 2), lambda: max_pairwise_meet_rank(fam)):
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            assert tracemalloc.get_traced_memory()[1] - live <= 2 ** 19
+    finally:
+        tracemalloc.stop()
