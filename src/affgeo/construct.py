@@ -5,11 +5,14 @@ polynomials.
 The spread realizes F_q^n as an n/k-dimensional space over F_{q^k}
 through the subfield embedding and takes the one-dimensional
 F_{q^k}-subspaces, each expanded back to a k-dimensional F_q-subspace
-via the basis {1, beta, ..., beta^(k-1)}.
+via the basis {1, beta, ..., beta^(k-1)}.  Both affine constructions
+are translate closures: the Steiner family of a spread, the polynomial
+code of its graph directions; neither builds a block object or sorts one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import flatspace
@@ -95,7 +98,11 @@ def affine_poly_code(q: int, m: int, ell: int, t: int,
     beta-basis coordinates (ambient F_q^m); default is the span of
     {1, beta, ..., beta^(ell-1)}.  Blocks live in AG of rank
     ell + m + 1: the first ell coordinates locate x within U, the last
-    m hold g(x) in beta-basis coordinates.
+    m hold g(x) in beta-basis coordinates.  On U = x0 + <u_i>, the graph
+    of a + f is (0, a + f(x0)) + {(c, f(sum c_i u_i))}, a coset of f's graph
+    direction, and as a runs over F_{q^m} so does a + f(x0): the blocks are
+    all cosets of the q^(m(t-1)) graph directions (their translate_closure),
+    so U's rep does not change the family.
     """
     if t < 1:
         raise ConstructError("need t >= 1")
@@ -112,39 +119,13 @@ def affine_poly_code(q: int, m: int, ell: int, t: int,
         raise ConstructError("U must be a nonempty affine flat in F_q^m coordinates")
     if U.dir.dim != ell:
         raise ConstructError(f"U has dimension {U.dir.dim}, expected {ell}")
-
-    d = ell + m
-    geom = affine_geometry(F, d + 1)
-    x0 = emb.from_vector_enc(U.rep)
-    dirs = [emb.from_vector_enc(r) for r in U.dir.rows]
-    # q-power images of the direction vectors and of the base point
-    x0_pows = [L.pow(x0, q ** i) for i in range(max(t - 1, 1))]
-    dir_pows = [[L.pow(u, q ** i) for i in range(max(t - 1, 1))] for u in dirs]
-
-    lenc = list(range(L.order))
-    blocks = []
-    zero_l = (0,) * ell
-    for f in itertools.product(lenc, repeat=t - 1):
-        # linear part: graph direction rows depend on f only
-        rows = []
-        for i, u in enumerate(dirs):
-            img = 0
-            for fc, up in zip(f, dir_pows[i]):
-                if fc:
-                    img = L.add(img, L.mul(fc, up))
-            e_i = tuple(1 if j == i else 0 for j in range(ell))
-            rows.append(e_i + emb.to_vector_enc(img))
-        dir_sub = LinearSubspace.from_rows(F, d, rows)
-        f_at_x0 = 0
-        for fc, xp in zip(f, x0_pows):
-            if fc:
-                f_at_x0 = L.add(f_at_x0, L.mul(fc, xp))
-        for a in lenc:
-            g_x0 = L.add(a, f_at_x0)
-            rep = zero_l + emb.to_vector_enc(g_x0)
-            blocks.append(AffineFlat.coset(rep, dir_sub))
-    blocks.sort(key=AffineFlat.sort_key)
-    fam = FlatFamily(geom, tuple(blocks))
-    if len(fam) != L.order ** t:
-        raise ConstructError("distinct polynomials produced coinciding blocks")
-    return fam
+    # f's graph direction has rows (e_i, f(u_i)), f(u) = sum f_j u^(q^j), for
+    # the rows u_i of U's direction; the q-powers of each u are taken once
+    pows = [[L.pow(emb.from_vector_enc(r), q ** j) for j in range(t - 1)] for r in U.dir.rows]
+    units = [tuple(1 if j == i else 0 for j in range(ell)) for i in range(ell)]
+    graphs = []
+    for f in itertools.product(range(L.order), repeat=t - 1):
+        rows = [e + emb.to_vector_enc(functools.reduce(L.add, map(L.mul, f, up), 0))
+                for e, up in zip(units, pows)]
+        graphs.append(LinearSubspace.from_rows(F, ell + m, rows))
+    return translate_closure(FlatFamily(projective_geometry(F, ell + m), tuple(graphs)))

@@ -107,29 +107,13 @@ class FlatFamily(Record):
     def point_blocks(self) -> dict:
         """Point -> indices of the blocks through it (affine families), built
         from the columns on first use (see codes.decode): keys are
-        FieldSpec.pack ints, in the order of points(), and lists are
-        ascending.  Over F_{2^e} a point is the packed rep ^ an offset; over
-        odd p one itemgetter per digit gathers all a block's points from the
-        rep's row of FlatKeys.rows (a lone index twice, to give a tuple)."""
+        FieldSpec.pack ints, in the order of FlatKeys.walk, and lists are
+        ascending."""
         keys, index = FlatKeys(self.geometry, 1), {}
-        if self.geometry.field.p == 2:
-            rep, offsets = cache(keys.rep), keys.offsets(self)
-            for i, r, o in zip(itertools.count(), self.reps, map(offsets.__getitem__, self.dir_of)):
-                if o:  # not the empty flat
-                    r = rep(r)
-                    for x in o:
-                        index.setdefault(r ^ x, []).append(i)
-            return index
-        entries = [(len(vs), [operator.itemgetter(*(col * 2 if len(vs) == 1 else col))
-                              for col in zip(*vs)])
-                   for vs in (D.vectors() if D else [] for D in self.dirs)]
-        for i, r, (m, gathers) in zip(itertools.count(), self.reps,
-                                      map(entries.__getitem__, self.dir_of)):
-            points = itertools.repeat(0, m)  # m sums, not 2 for a lone vector
-            for gather, row, c in zip(gathers, keys.rows, r or ()):
-                points = map(operator.add, points, gather(row[c]))
-            for x in points:
-                index.setdefault(x, []).append(i)
+        add = keys.add
+        for i, (r, o) in enumerate(keys.walk(self)):
+            for x in o:
+                index.setdefault(add(r, x), []).append(i)
         return index
 
     @_OnFirstRead
@@ -267,11 +251,14 @@ class FlatKeys:
         *rows, rep = vectors  # an affine key packs t-1 rows, then the rep
         return AffineFlat(K, d, rep, LinearSubspace.from_rows(K, d, rows))
 
-    def offsets(self, fam: FlatFamily) -> list:
-        """Each entry of fam.dirs as its vectors, each an offset ([] for None,
-        the empty flat's): a block's points are add(rep(b.rep), o) for each o
-        of its entry."""
-        return [[self.offset(v) for v in D.vectors()] if D else [] for D in fam.dirs]
+    def walk(self, fam: FlatFamily):
+        """Per block of fam (t = 1), (r, offsets): its points are add(r, o) for
+        each offset o, one per vector of its entry of fam.dirs, in their order
+        (None and [] for the empty flat).  point_blocks and the expansion
+        both walk the blocks' points so."""
+        offsets = [[self.offset(v) for v in D.vectors()] if D else [] for D in fam.dirs]
+        rep = cache(lambda r: r and self.rep(r))
+        return zip(map(rep, fam.reps), map(offsets.__getitem__, fam.dir_of))
 
     def groups(self, fam: FlatFamily) -> dict:
         """fam's rank-t subflats (t >= 1) by the high part G of their keys: G ->
@@ -399,12 +386,9 @@ def expand_affine_design(fam: FlatFamily, t: int) -> ClassicalDesign:
     pts, _ = point_index(g)
     index = dict(zip(map(g.field.pack, pts), range(len(pts))))  # by packed point
     keys = FlatKeys(g, 1)
-    rep, add, offsets = cache(keys.rep), keys.add, keys.offsets(fam)
-    blocks = []
-    for r, o in zip(fam.reps, map(offsets.__getitem__, fam.dir_of)):
-        r = o and rep(r)  # the empty flat has no points
-        blocks.append(frozenset([index[add(r, x)] for x in o]))
-    return ClassicalDesign(len(pts), tuple(blocks))
+    add = keys.add
+    return ClassicalDesign(len(pts), tuple(frozenset([index[add(r, x)] for x in o])
+                                           for r, o in keys.walk(fam)))
 
 
 def verify_classical(design: ClassicalDesign, t: int) -> VerifyResult:

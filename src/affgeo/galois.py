@@ -145,7 +145,6 @@ def _is_irreducible(coeffs, p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def _least_irreducible(p: int, e: int) -> tuple:
     """Least monic irreducible of degree e over F_p, ordered
     lexicographically on (c_{e-1}, ..., c_0); picks the usual low-weight
@@ -477,6 +476,5 @@ class Embedding:
         return acc
 
 
-@lru_cache(maxsize=None)
 def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     return Embedding(sub, sup)

@@ -4,14 +4,15 @@ import pytest
 
 from affgeo import (AffineFlat, ConstructError, FlatFamily, GuardExceeded,
                     LinearSubspace, affine_geometry, affine_poly_code,
-                    affine_steiner, desarguesian_spread, enumerate_subspaces,
-                    field_new, is_skew, lin_meet,
+                    affine_steiner, desarguesian_spread, embed, enumerate_subspaces,
+                    field_new, field_of_order, is_skew, lin_meet,
                     max_pairwise_meet_rank, parallel_classes,
                     projective_geometry, through_zero, translate_closure,
                     verify_design)
-from affgeo import construct
+from affgeo import construct, flatspace
+from affgeo.blockfile import render
 from affgeo.flatspace import iter_flats
-from affgeo.galois import Embedding, FieldSpec, _least_irreducible
+from affgeo.galois import FieldSpec, _least_irreducible
 from canonical_order import canonical
 
 F2 = field_new(2)
@@ -174,13 +175,110 @@ def test_poly_code_builds_no_table_of_the_big_field(monkeypatch, q, m):
         return built[-1]
 
     monkeypatch.setattr(construct, "field_new", fresh_field)
-    monkeypatch.setattr(construct, "embed", Embedding)  # uncached, so it embeds into L
     fam = affine_poly_code(q, m, 1, 1)
     (L,) = built
     assert L.order == q ** m and len(fam) == q ** m
     assert not {"_add", "_mul"} & vars(L).keys()
     monkeypatch.undo()
     assert fam.blocks == affine_poly_code(q, m, 1, 1).blocks
+
+
+def reference_poly_code(q: int, m: int, ell: int, t: int,
+                        U: AffineFlat | None = None) -> FlatFamily:
+    """The per-block builder that affine_poly_code replaced: one AffineFlat
+    per (f, a), its rep at a + f(x0), sorted by sort_key and regrouped."""
+    if t < 1:
+        raise ConstructError("need t >= 1")
+    if not t - 1 <= ell <= m:
+        raise ConstructError(f"need t-1 <= ell <= m, got ell={ell}, m={m}, t={t}")
+    F = field_of_order(q)
+    L = field_new(F.p, F.e * m)
+    flatspace.check_guard(L.order ** t, "blocks")
+    emb = embed(F, L)
+    if U is None:
+        rows = [tuple(1 if j == i else 0 for j in range(m)) for i in range(ell)]
+        U = AffineFlat.coset((0,) * m, LinearSubspace.from_rows(F, m, rows))
+    if U.is_empty or U.d != m or U.spec != F:
+        raise ConstructError("U must be a nonempty affine flat in F_q^m coordinates")
+    if U.dir.dim != ell:
+        raise ConstructError(f"U has dimension {U.dir.dim}, expected {ell}")
+
+    d = ell + m
+    geom = affine_geometry(F, d + 1)
+    x0 = emb.from_vector_enc(U.rep)
+    dirs = [emb.from_vector_enc(r) for r in U.dir.rows]
+    # q-power images of the direction vectors and of the base point
+    x0_pows = [L.pow(x0, q ** i) for i in range(max(t - 1, 1))]
+    dir_pows = [[L.pow(u, q ** i) for i in range(max(t - 1, 1))] for u in dirs]
+
+    lenc = list(range(L.order))
+    blocks = []
+    zero_l = (0,) * ell
+    for f in itertools.product(lenc, repeat=t - 1):
+        # linear part: graph direction rows depend on f only
+        rows = []
+        for i, u in enumerate(dirs):
+            img = 0
+            for fc, up in zip(f, dir_pows[i]):
+                if fc:
+                    img = L.add(img, L.mul(fc, up))
+            e_i = tuple(1 if j == i else 0 for j in range(ell))
+            rows.append(e_i + emb.to_vector_enc(img))
+        dir_sub = LinearSubspace.from_rows(F, d, rows)
+        f_at_x0 = 0
+        for fc, xp in zip(f, x0_pows):
+            if fc:
+                f_at_x0 = L.add(f_at_x0, L.mul(fc, xp))
+        for a in lenc:
+            g_x0 = L.add(a, f_at_x0)
+            rep = zero_l + emb.to_vector_enc(g_x0)
+            blocks.append(AffineFlat.coset(rep, dir_sub))
+    blocks.sort(key=AffineFlat.sort_key)
+    fam = FlatFamily(geom, tuple(blocks))
+    if len(fam) != L.order ** t:
+        raise ConstructError("distinct polynomials produced coinciding blocks")
+    return fam
+
+
+F3 = field_new(3)
+NONZERO_REP_DOMAINS = {  # (q, m, ell, t) -> a U whose rep is not 0
+    (2, 3, 2, 3): AffineFlat.coset((1, 1, 1), LinearSubspace.from_rows(F2, 3, [(1, 1, 0), (0, 1, 1)])),
+    (3, 3, 2, 2): AffineFlat.coset((2, 1, 0), LinearSubspace.from_rows(F3, 3, [(1, 2, 0), (0, 1, 1)])),
+    (3, 3, 1, 2): AffineFlat.coset((0, 0, 2), LinearSubspace.from_rows(F3, 3, [(0, 1, 2)])),
+}
+
+
+@pytest.mark.parametrize("q,m,ell,t,U", [
+    *[(q, m, ell, t, None) for q, m, ell, t in [
+        (2, 2, 2, 2), (2, 3, 3, 3), (3, 2, 2, 2), (3, 2, 2, 3), (3, 2, 0, 1), (2, 1, 1, 2),
+        (5, 2, 2, 2), (4, 2, 1, 2), (9, 2, 1, 2), (16, 2, 1, 1), (19, 2, 1, 1), (2, 9, 1, 1)]],
+    *[(*args, U) for args, U in NONZERO_REP_DOMAINS.items()],
+])
+def test_poly_code_is_the_per_block_builder(q, m, ell, t, U):
+    """The translate closure of the graph directions is the family the
+    per-block builder made: the same ordered blocks, columns and file."""
+    fam, ref = affine_poly_code(q, m, ell, t, U=U), reference_poly_code(q, m, ell, t, U=U)
+    assert fam.blocks == ref.blocks
+    assert (fam.dirs, fam.dir_of, fam.reps) == (ref.dirs, ref.dir_of, ref.reps)
+    assert render(fam) == render(ref)
+
+
+@pytest.mark.parametrize("args,U", NONZERO_REP_DOMAINS.items())
+def test_poly_code_ignores_the_rep_of_its_domain(args, U):
+    zero = AffineFlat.coset((0,) * U.d, U.dir)
+    assert affine_poly_code(*args, U=U) == affine_poly_code(*args, U=zero)
+
+
+def test_poly_code_guard_before_any_graph_direction(monkeypatch):
+    calls = []
+    from_rows = LinearSubspace.from_rows.__func__
+    monkeypatch.setattr(LinearSubspace, "from_rows",
+                        classmethod(lambda cls, *a: calls.append(a) or from_rows(cls, *a)))
+    with pytest.raises(GuardExceeded):  # 512^3 blocks
+        affine_poly_code(2, 9, 3, 3)
+    assert calls == []
+    affine_poly_code(2, 3, 2, 2)  # the counter counts: U's direction and 8 graphs
+    assert len(calls) == 9
 
 
 def test_poly_code_param_validation():
